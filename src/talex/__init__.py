@@ -14,6 +14,7 @@ from .matrices import (
 from .words import (
     FreeWord,
     GroupRingSum,
+    ImageSum,
     abelianize,
     fox_derivative,
     psi_evaluate,

@@ -39,7 +39,7 @@ from .twisted import (
     nqp_total,
     perm_dihedral_total,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, ItemError, run_suite
 
 USAGE_ERROR, PRECONDITION_ERROR, CERTIFICATE_ERROR = 1, 2, 3
 
@@ -156,6 +156,9 @@ def cmd_verify(args):
     items = SUITES[args.suite](max_n=args.max_n, seed=args.seed)
     results, all_ok = run_suite(items, jobs=args.jobs)
     for name, ok, advisory in results:
+        if isinstance(ok, ItemError):
+            print(f"{'ERROR':8s} {name}: {ok}")
+            continue
         if advisory:
             tag = "REPORT+" if ok else "REPORT-"
         else:

@@ -146,8 +146,8 @@ def extract_GH(f, p):
     torus_pres = presentation(TwoBridgeFraction(p, 1))
     rep = dihedral_rep(pres, p, "xi")
     torus_rep = dihedral_rep(torus_pres, p, "xi")
-    A = rep_evaluate(fox_derivative(pres.relators[0], 0), rep)
-    B = rep_evaluate(fox_derivative(torus_pres.relators[0], 0), torus_rep)
+    A = rep_evaluate(fox_derivative(pres.relators[0], 0, rep), rep)
+    B = rep_evaluate(fox_derivative(torus_pres.relators[0], 0, torus_rep), torus_rep)
     det_b = B.det()
     adj_b = RingMatrix(
         B.ring,

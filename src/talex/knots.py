@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .words import FreeWord, fox_derivative, psi_evaluate
+from .representations import trivial_rep
+from .words import FreeWord, fox_derivative
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ def hp_expansion(f, p, max_k=4, max_m=8, max_len=7):
 
 
 def alexander(pres):
-    """The Alexander polynomial from the abelianized Fox matrix.
+    """The Alexander polynomial from the abelianized Fox matrix, whose
+    entries are the streamed Fox derivatives under the trivial image.
 
     For two generators this is the psi-evaluated derivative of the
     relator by x; in general the determinant of the Fox minor omitting
@@ -198,22 +200,25 @@ def alexander(pres):
     Wirtinger presentations).  Canonically normalized.
     """
     k = pres.num_gens
+    rep = trivial_rep(pres)
     if k == 2:
-        return psi_evaluate(fox_derivative(pres.relators[0], 0)).canonical()
+        return _psi_fox(pres.relators[0], 0, rep).canonical()
     from .matrices import RingMatrix, ZZ_POLY
 
     omit = 0
     cols = [j for j in range(k) if j != omit]
-    entries = [
-        [psi_evaluate(fox_derivative(r, j)) for j in cols] for r in pres.relators
-    ]
+    entries = [[_psi_fox(r, j, rep) for j in cols] for r in pres.relators]
     return RingMatrix(ZZ_POLY, entries).det().canonical()
+
+
+def _psi_fox(relator, j, rep):
+    return fox_derivative(relator, j, rep).augmentation()
 
 
 def alexander_raw(pres):
     """psi(dR/dx) without normalization (2-generator presentations only);
     the mod-p triangular-structure check needs the honest sign."""
-    return psi_evaluate(fox_derivative(pres.relators[0], 0))
+    return _psi_fox(pres.relators[0], 0, trivial_rep(pres))
 
 
 def knot_determinant(f):

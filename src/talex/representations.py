@@ -17,10 +17,18 @@ Builds, exactly over the integers or over Z[omega] = Z[z]/(theta_n(z)):
 Every constructed representation checks that the relators of its
 presentation map to the identity matrix; the U_n and V_n constructors
 verify their defining identities on the spot.
+
+A ``MatrixRep`` also owns the multiplication table of its image group,
+built lazily as words are walked.  Every image here is finite (at most
+2p elements for D_p, 4p for the binary dihedral group, 2pq for N(q,p)),
+so walking a relator of length L costs L table lookups plus at most
+|G| * 2k matrix products, whatever L is.  ``talex.words`` walks Fox
+derivatives through this table.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -406,7 +414,17 @@ def multiplicative_order(k, p):
 
 class MatrixRep:
     """An assignment generator -> invertible matrix, with t-degree 1 per
-    Wirtinger generator; relators are checked at construction."""
+    Wirtinger generator; relators are checked at construction.
+
+    The rep owns the multiplication table of its image group G, built
+    lazily: element ids map to image matrices (id 0 is the identity) and
+    (id, letter code) to the id of the product.  A matrix product is
+    taken only on a table miss, so once the at most |G| * 2k edges are
+    known (k generators) a word of any length is walked by dictionary
+    lookups alone.  The images of every representation here generate a
+    finite group; an infinite image keeps the walk correct, only not
+    faster.  A relator holds when its walk ends at id 0.
+    """
 
     def __init__(self, pres, images, t_degrees=None):
         gens = pres.gens
@@ -423,8 +441,13 @@ class MatrixRep:
         self.images = dict(images)
         self.t_degrees = dict(t_degrees or {g: 1 for g in gens})
         self._inverses = {g: m.inverse() for g, m in self.images.items()}
+        identity = RingMatrix.identity(self.coeff_ring, self.dim)
+        self._elements = [identity]
+        self._ids = {identity.entries: 0}
+        self._next = [{}]
+        self._grow = threading.Lock()
         for rel in pres.relators:
-            if not self._word_is_identity(rel):
+            if self.walk(rel.codes) != 0:
                 raise NoValidAssignment(
                     f"relator {rel.to_text()} does not map to the identity"
                 )
@@ -433,16 +456,38 @@ class MatrixRep:
         name = self.gens[abs(code) - 1]
         return self.images[name] if code > 0 else self._inverses[name]
 
-    def word_image(self, word):
-        acc = RingMatrix.identity(self.coeff_ring, self.dim)
-        for c in word.codes:
-            acc = acc * self.image_of_code(c)
-        return acc
+    def step(self, g, code):
+        """The id of element ``g`` times the image of letter ``code``."""
+        h = self._next[g].get(code)
+        if h is not None:
+            return h
+        m = self._elements[g] * self.image_of_code(code)
+        # threads may share a rep: an id must name the matrix stored under it
+        with self._grow:
+            h = self._ids.get(m.entries)
+            if h is None:
+                h = len(self._elements)
+                self._ids[m.entries] = h
+                self._elements.append(m)
+                self._next.append({})
+            self._next[g][code] = h
+        return h
 
-    def _word_is_identity(self, word):
-        return self.word_image(word) == RingMatrix.identity(
-            self.coeff_ring, self.dim
-        )
+    def walk(self, codes):
+        """The id of the image of the word with letter codes ``codes``."""
+        table = self._next
+        g = 0
+        for c in codes:
+            h = table[g].get(c)
+            g = self.step(g, c) if h is None else h
+        return g
+
+    def element(self, g):
+        """The image matrix of element id ``g``."""
+        return self._elements[g]
+
+    def word_image(self, word):
+        return self._elements[self.walk(word.codes)]
 
 
 def rep_from_pair(pres, s_img, a_img, exponents):

@@ -34,7 +34,7 @@ from .representations import (
     trivial_rep,
 )
 from .rings import GFp, NonExactDivision
-from .words import FreeWord, GroupRingSum, fox_derivative, rep_evaluate
+from .words import FreeWord, ImageSum, fox_derivative, rep_evaluate
 
 
 class AllDenominatorsSingular(ArithmeticError):
@@ -62,8 +62,7 @@ def wada_parts(pres, rep):
     omit = None
     den = None
     for j in range(k):
-        gen_sum = GroupRingSum.from_word(FreeWord.generator(j))
-        mat = rep_evaluate(gen_sum, rep)
+        mat = rep_evaluate(ImageSum.of_word(FreeWord.generator(j), rep), rep)
         if poly_identity is None:
             poly_identity = RingMatrix.identity(mat.ring, rep.dim)
         cand = (mat - poly_identity).det()
@@ -75,7 +74,7 @@ def wada_parts(pres, rep):
         raise AllDenominatorsSingular(pres.gens)
     cols = [m for m in range(k) if m != omit]
     blocks = [
-        [rep_evaluate(fox_derivative(r, m), rep) for m in cols]
+        [rep_evaluate(fox_derivative(r, m, rep), rep) for m in cols]
         for r in pres.relators
     ]
     num = RingMatrix.block(blocks).det()
@@ -283,7 +282,7 @@ def modp_triangular_structure(f, p):
     _require_divides(f, p)
     pres = presentation(f)
     rep = dihedral_rep(pres, p, "eta")
-    M = rep_evaluate(fox_derivative(pres.relators[0], 0), rep)
+    M = rep_evaluate(fox_derivative(pres.relators[0], 0, rep), rep)
     n = (p - 1) // 2
     delta_raw = alexander_raw(pres)
     diag_upper = delta_raw.negate_t().reduce_mod(p)

@@ -1,10 +1,11 @@
 """Named verification suites: golden worked-example values, algebraic identity
 batteries, the appendix checks, and the randomized census.
 
-Each suite is a list of (name, thunk) items; a thunk returns True/False
-(or raises, which counts as failure).  Census items about conjectures
-are advisory: they report findings and never fail the run; violations
-of proven statements do fail it.
+Each suite is a list of (name, thunk) items; a thunk returns True/False.
+A thunk that raises is recorded as an ``ItemError``, never as a verdict:
+a crash fails the run even in an advisory item.  Census items about
+conjectures are advisory: their verdicts report findings and never fail
+the run; violations of proven statements do fail it.
 """
 
 from __future__ import annotations
@@ -807,17 +808,34 @@ SUITES = {
 }
 
 
+@dataclass(frozen=True)
+class ItemError:
+    """The outcome of an item that raised: falsy, so it never counts as a
+    pass, and distinct from a False verdict."""
+
+    kind: str
+    message: str
+
+    def __bool__(self):
+        return False
+
+    def __str__(self):
+        return f"{self.kind}: {self.message}"
+
+
 def run_suite(items, jobs=1):
     """Execute items, preserving order; returns (results, all_ok).
 
-    results: list of (name, ok, advisory).  Parallelism never changes
-    results: items are pure and merged by index.
+    results: list of (name, ok, advisory), where ok is a bool verdict or
+    an ItemError.  all_ok is False when a non-advisory item fails or any
+    item raises.  Parallelism never changes results: items are pure and
+    merged by index.
     """
     def run_one(item):
         try:
             return bool(item.run())
-        except Exception:
-            return False
+        except Exception as e:
+            return ItemError(type(e).__name__, str(e))
 
     if jobs and jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -829,5 +847,6 @@ def run_suite(items, jobs=1):
     results = [
         (item.name, ok, item.advisory) for item, ok in zip(items, outcomes)
     ]
-    all_ok = all(ok for name, ok, advisory in results if not advisory)
+    crashed = any(isinstance(ok, ItemError) for _, ok, _ in results)
+    all_ok = not crashed and all(ok for _, ok, advisory in results if not advisory)
     return results, all_ok

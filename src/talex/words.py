@@ -5,6 +5,20 @@ signed letter codes: ``+k`` is the k-th generator (1-based), ``-k`` its
 inverse.  Generator names live on the enclosing presentation; the text
 syntax maps ``x y z`` to codes 1 2 3 and uppercase to inverses, so
 ``xyxYXY`` is the trefoil relator.
+
+Every twisted polynomial only needs a Fox derivative after it is pushed
+forward along a representation rho: G -> GL(n), that is, as an element
+of Z[G][t^+-1] with G the (finite) image group.  ``fox_derivative(r, j,
+rep)`` computes exactly that in one pass over the letters of r, keeping
+a running t-exponent and the id of the current prefix's image in the
+rep's multiplication table, and accumulating one integer Laurent
+polynomial per element: O(L) time and memory for a relator of length L,
+where materializing the L prefix words costs O(L^2) of both.
+``rep_evaluate`` then applies each distinct image once, and the
+augmentation (the sum over G) is the abelianized psi-image that gives
+the Alexander polynomial.  Without a rep, ``fox_derivative`` returns the
+free-group ``GroupRingSum``, which ``psi_evaluate`` and ``rep_evaluate``
+still accept: that path is the independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -185,17 +199,48 @@ class GroupRingSum:
         return GroupRingSum({w: n * c for w, c in self.terms.items()})
 
 
-def fox_derivative(relator, gen_index):
+class ImageSum:
+    """An element of Z[G][t^+-1], G the image group of a MatrixRep:
+    ``terms`` maps element ids of the rep's table to nonzero integer
+    Laurent polynomials."""
+
+    __slots__ = ("rep", "terms")
+
+    def __init__(self, rep, terms):
+        self.rep = rep
+        self.terms = {g: poly for g, poly in terms.items() if not poly.is_zero}
+
+    @classmethod
+    def of_word(cls, word, rep):
+        """t^(exponent sum) times the image of ``word``."""
+        return cls(
+            rep, {rep.walk(word.codes): LaurentPoly.t_power(word.exponent_sum())}
+        )
+
+    def augmentation(self):
+        """The sum of the coefficients over G: the psi-image, an integer
+        Laurent polynomial."""
+        acc = LaurentPoly.zero()
+        for poly in self.terms.values():
+            acc = acc + poly
+        return acc
+
+
+def fox_derivative(relator, gen_index, rep=None):
     """The Fox free derivative of a word with respect to generator
-    ``gen_index`` (0-based), as a GroupRingSum.
+    ``gen_index`` (0-based).
 
     Standard axioms: d(uv) = du + u dv, dg/dg = 1, dg^-1/dg = -g^-1,
     and dh^{+-1}/dg = 0 for h != g.  The word is differentiated in its
     freely reduced form (Fox derivatives are invariant under free
-    reduction).
+    reduction).  Without ``rep`` the result is a GroupRingSum of prefix
+    words; with a MatrixRep it is the ImageSum pushed forward into the
+    rep's image group, computed in one pass without forming any prefix.
     """
     target = gen_index + 1
     codes = relator.codes
+    if rep is not None:
+        return _fox_walk(codes, target, rep)
     out = {}
     for i, c in enumerate(codes):
         if c == target:
@@ -205,6 +250,23 @@ def fox_derivative(relator, gen_index):
             prefix = FreeWord._trusted(codes[: i + 1])
             out[prefix] = out.get(prefix, 0) - 1
     return GroupRingSum(out)
+
+
+def _fox_walk(codes, target, rep):
+    step = rep.step
+    cells = {}  # element id -> {t-exponent: coefficient}
+    g = 0
+    e = 0
+    for c in codes:
+        if c == target:
+            cell = cells.setdefault(g, {})
+            cell[e] = cell.get(e, 0) + 1
+        g = step(g, c)
+        e += 1 if c > 0 else -1
+        if c == -target:
+            cell = cells.setdefault(g, {})
+            cell[e] = cell.get(e, 0) - 1
+    return ImageSum(rep, {h: LaurentPoly.from_dict(cell) for h, cell in cells.items()})
 
 
 def fox_matrix(relators, num_gens):
@@ -228,11 +290,15 @@ def rep_evaluate(s, rep):
 
     Returns sum of coeff * M(word) * t^(abelianization degree) as a
     matrix of Laurent polynomials over the representation's
-    coefficient ring.  Words are walked in sorted order with a stack of
-    shared prefix products, so families of prefixes (the shape Fox
-    derivatives produce) cost one matrix product per distinct letter
-    edge instead of one per (word, letter) pair.
+    coefficient ring.  An ImageSum already carries one polynomial per
+    image element, so each distinct image is applied once.  A free
+    GroupRingSum (the test oracle) is walked in sorted word order with
+    a stack of shared prefix products, so families of prefixes cost
+    one matrix product per distinct letter edge instead of one per
+    (word, letter) pair.
     """
+    if isinstance(s, ImageSum):
+        return _image_evaluate(s, rep)
     ring = rep.coeff_ring
     n = rep.dim
     poly_ring = PolyRing(ring)
@@ -275,4 +341,39 @@ def rep_evaluate(s, rep):
             cell = {k: v for k, v in cells[i][j].items() if not ring.is_zero(v)}
             row.append(LaurentPoly.from_dict(cell, ring) if cell else LaurentPoly.zero(ring))
         out.append(row)
+    return RingMatrix(poly_ring, out)
+
+
+def _image_evaluate(s, rep):
+    if s.rep is not rep:
+        raise ValueError("the ImageSum was walked through another representation")
+    ring = rep.coeff_ring
+    n = rep.dim
+    poly_ring = PolyRing(ring)
+    if not s.terms:
+        return RingMatrix.zeros(poly_ring, n)
+    lo = min(poly.min_deg for poly in s.terms.values())
+    hi = max(poly.degree for poly in s.terms.values())
+    zero = ring.zero
+    add, mul, from_int = ring.add, ring.mul, ring.from_int
+    cells = [[None] * n for _ in range(n)]
+    for g, poly in s.terms.items():
+        mat = rep.element(g)
+        base = poly.min_deg - lo
+        for i, row in enumerate(mat.entries):
+            for j, v in enumerate(row):
+                if ring.is_zero(v):
+                    continue
+                cell = cells[i][j]
+                if cell is None:
+                    cell = cells[i][j] = [zero] * (hi - lo + 1)
+                for k, c in enumerate(poly.coeffs, base):
+                    cell[k] = add(cell[k], mul(from_int(c), v))
+    out = [
+        [
+            LaurentPoly(ring, lo, cell) if cell is not None else LaurentPoly.zero(ring)
+            for cell in row
+        ]
+        for row in cells
+    ]
     return RingMatrix(poly_ring, out)

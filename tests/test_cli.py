@@ -115,3 +115,38 @@ def test_verify_census_smoke(capsys):
     code, out, _ = run(capsys, "verify", "census", "--seed", "3", "--max-n", "6")
     assert code == 0
     assert "checks passed" in out
+
+
+def raising_suite(advisory):
+    from talex.verify import Item
+
+    def boom():
+        raise ZeroDivisionError("injected")
+
+    return [Item("holds", lambda: True), Item("crashes", boom, advisory=advisory)]
+
+
+@pytest.mark.parametrize("advisory", [False, True])
+def test_run_suite_records_a_crash_as_an_error(advisory):
+    from talex.verify import ItemError, run_suite
+
+    results, all_ok = run_suite(raising_suite(advisory))
+    assert not all_ok
+    (_, first, _), (name, outcome, adv) = results
+    assert first is True
+    assert (name, adv) == ("crashes", advisory)
+    assert not outcome
+    assert outcome == ItemError("ZeroDivisionError", "injected")
+
+
+@pytest.mark.parametrize("advisory", [False, True])
+def test_verify_prints_error_and_exits_nonzero(capsys, monkeypatch, advisory):
+    from talex import verify
+
+    suites = dict(verify.SUITES, boom=lambda **kw: raising_suite(advisory))
+    monkeypatch.setattr("talex.cli.SUITES", suites)
+    code, out, _ = run(capsys, "verify", "boom")
+    assert code == 1
+    assert "ERROR    crashes: ZeroDivisionError: injected" in out
+    assert "PASS     holds" in out
+    assert "REPORT" not in out and "FAIL" not in out
