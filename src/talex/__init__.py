@@ -3,10 +3,9 @@ dihedral and metacyclic representations, with the constructive
 f(t)f(-t) factorization and its certificates."""
 
 from .rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
-from .laurent import LaurentPoly, cyclotomic_poly, exact_div, poly_arith
+from .laurent import LaurentPoly, cyclotomic_poly
 from .matrices import (
     RingMatrix,
-    bareiss_det,
     companion_matrix,
     cyclic_product,
     gamma_substitute,
@@ -15,7 +14,6 @@ from .words import (
     FreeWord,
     GroupRingSum,
     ImageSum,
-    abelianize,
     fox_derivative,
     psi_evaluate,
     rep_evaluate,

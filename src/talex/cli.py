@@ -154,7 +154,7 @@ def cmd_verify(args):
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}", USAGE_ERROR)
     items = SUITES[args.suite](max_n=args.max_n, seed=args.seed)
-    results, all_ok = run_suite(items, jobs=args.jobs)
+    results, all_ok = run_suite(items)
     for name, ok, advisory in results:
         if isinstance(ok, ItemError):
             print(f"{'ERROR':8s} {name}: {ok}")
@@ -240,7 +240,6 @@ def build_parser():
     p_v.add_argument("suite", help="paper | identities | appendix | census")
     p_v.add_argument("--max-n", type=int, default=None)
     p_v.add_argument("--seed", type=int, default=None)
-    p_v.add_argument("--jobs", type=int, default=1)
     p_v.set_defaults(fn=cmd_verify)
 
     return parser

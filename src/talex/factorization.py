@@ -208,16 +208,19 @@ class FactorizationCertificate:
         return (self.F * self.F.negate_t()).canonical() == self.D
 
 
-def f_polynomial(f, p):
+def f_polynomial(f, p, *, D=None, q=None):
     """The constructive factorization D = F(t)F(-t), F = q*f, with the
-    certificate checked exactly; raises CertificateFailure otherwise."""
-    tor = torus_gh(p)
+    certificate checked exactly; raises CertificateFailure otherwise.
+
+    A caller that already holds D = dihedral_total(f, p) or the torus
+    factor q = _split_determinant(torus_gh(p), p) passes it in."""
     extra = extract_GH(f, p)
-    q = _split_determinant(tor, p)
+    if q is None:
+        q = _split_determinant(torus_gh(p), p)
     fp = _split_determinant(extra, p)
     F = _lex_min_rep(q * fp)
     cert = FactorizationCertificate(
-        D=dihedral_total(f, p),
+        D=dihedral_total(f, p) if D is None else D,
         q=q.canonical(),
         f=_lex_min_rep(fp),
         F=F,
@@ -299,13 +302,15 @@ class ConjectureReport:
         return self.F is not None
 
 
-def torus_q_probe(p):
+def torus_q_probe(p, q=None):
     """Does the torus factor q(t) have the conjectured closed form
     (1+t)^n Delta_{K(1/p)}(t)^{n-1}, up to units and the t -> -t swap?
     The "remark53" report field (a fixed wire-format key) carries the
-    verdict."""
+    verdict.  A caller that already holds
+    q = _split_determinant(torus_gh(p), p) passes it in."""
     n = (p - 1) // 2
-    q = _split_determinant(torus_gh(p), p)
+    if q is None:
+        q = _split_determinant(torus_gh(p), p)
     delta = alexander(presentation(TwoBridgeFraction(p, 1)))
     expected = (
         LaurentPoly.from_int_coeffs([1, 1]) ** n * delta ** (n - 1)
@@ -313,28 +318,31 @@ def torus_q_probe(p):
     return q.canonical() == expected or q.negate_t().canonical() == expected
 
 
-def conjecture_report(f, p, hp_bounds=None):
+def conjecture_report(f, p):
     """The full per-knot report: constructive factorization (with the
     integer-factorization fallback), H(p) search verdict, mod-p
-    congruences, and the torus-part probe."""
+    congruences, and the torus-part probe.  D(t), Delta(t) and the torus
+    factor are computed once and shared by all of them."""
     D = dihedral_total(f, p)
+    delta = alexander(presentation(f))
+    q_torus = _split_determinant(torus_gh(p), p)
     n = (p - 1) // 2
     split_ok = False
     q = fpoly = F = None
     try:
-        cert = f_polynomial(f, p)
+        cert = f_polynomial(f, p, D=D, q=q_torus)
         split_ok = True
         q, fpoly, F = cert.q, cert.f, cert.F
     except (NonExactDivision, NotSplit):
         fallback = factor_pairing(D)
         if fallback is not None:
             F = fallback
-    verdict = hp_expansion(f, p, **(hp_bounds or {}))
+    verdict = hp_expansion(f, p)
     hp = "inconclusive" if isinstance(verdict, NotFoundWithinBounds) else "yes"
-    modp = modp_congruence(f, p).congruence_holds
+    modp = modp_congruence(f, p, D=D, delta=delta).congruence_holds
     modp_f = None
     if F is not None:
-        delta_p = alexander(presentation(f)).reduce_mod(p)
+        delta_p = delta.reduce_mod(p)
         one_plus = LaurentPoly.from_int_coeffs([1, 1]).reduce_mod(p)
         try:
             base = gf_exact_div(delta_p, one_plus) ** n
@@ -355,7 +363,7 @@ def conjecture_report(f, p, hp_bounds=None):
                 or modp_unit_equal(c.negate_t().reduce_mod(p), base, p)
                 for c in candidates
             )
-    remark = torus_q_probe(p)
+    remark = torus_q_probe(p, q_torus)
     return ConjectureReport(
         fraction=f,
         p=p,

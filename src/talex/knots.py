@@ -221,11 +221,6 @@ def alexander_raw(pres):
     return _psi_fox(pres.relators[0], 0, trivial_rep(pres))
 
 
-def knot_determinant(f):
-    """|Delta(-1)|, which equals alpha for 2-bridge knots."""
-    return abs(alexander(presentation(f)).eval_int(-1))
-
-
 def random_fraction(rng, p=None, max_alpha=500):
     """A uniform-ish random 2-bridge fraction, optionally with p | alpha."""
     while True:

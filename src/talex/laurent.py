@@ -19,6 +19,7 @@ from __future__ import annotations
 from .rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
 
 import os
+from fractions import Fraction
 
 _SCHOOLBOOK_CUTOFF = 24
 
@@ -389,7 +390,7 @@ class LaurentPoly:
             qc = _kron_div_int(list(self.coeffs), list(den.coeffs))
             if qc is not None:
                 return LaurentPoly(ZZ, shift, qc)
-            _, rem = self._rational_divmod(den)
+            rem = self._rational_remainder(den)
             raise NonExactDivision("inexact polynomial division", remainder=rem)
         try:
             quot, rem = self.divmod_poly(den)
@@ -401,45 +402,21 @@ class LaurentPoly:
             raise NonExactDivision("inexact polynomial division", remainder=rem)
         return quot
 
-    def _rational_divmod(self, den):
-        """Division over the fraction field; quotient only if integral.
-
-        Used for error reporting and for divisors whose leading
-        coefficient is not a unit.  Supports ZZ and QuotientRing
-        coefficients.
-        """
-        from fractions import Fraction
-
-        ring = self.ring
-        if ring is ZZ:
-            rem = [Fraction(c) for c in self.coeffs]
-            dc = [Fraction(c) for c in den.coeffs]
-            nq = len(rem) - len(dc) + 1
-            q = [Fraction(0)] * max(nq, 0)
-            for k in range(nq - 1, -1, -1):
-                c = rem[k + len(dc) - 1]
-                if c:
-                    qc = c / dc[-1]
-                    q[k] = qc
-                    for j, y in enumerate(dc):
-                        rem[k + j] -= qc * y
-            if all(f.denominator == 1 for f in q):
-                quot = LaurentPoly(
-                    ZZ, self.min_deg - den.min_deg, [int(f) for f in q]
-                )
-            else:
-                quot = None
-            rem_poly = LaurentPoly(
-                ZZ,
-                self.min_deg,
-                [int(f) if f.denominator == 1 else 0 for f in rem],
-            )
-            if any(f.denominator != 1 for f in rem):
-                rem_poly = self  # non-integral remainder: report the numerator
-            return quot, rem_poly
-        raise NonExactDivision(
-            "inexact polynomial division", remainder=self
-        )
+    def _rational_remainder(self, den):
+        """The remainder of division by ``den`` over the rationals, for
+        error reporting; the numerator itself when that remainder is not
+        integral."""
+        rem = [Fraction(c) for c in self.coeffs]
+        dc = den.coeffs
+        for k in range(len(rem) - len(dc), -1, -1):
+            c = rem[k + len(dc) - 1]
+            if c:
+                qc = c / dc[-1]
+                for j, y in enumerate(dc):
+                    rem[k + j] -= qc * y
+        if any(f.denominator != 1 for f in rem):
+            return self
+        return LaurentPoly(ZZ, self.min_deg, [int(f) for f in rem])
 
     # -- normalization ----------------------------------------------
 
@@ -512,23 +489,6 @@ class LaurentPoly:
             raise RingMismatch("mod-p reduction starts from integer coefficients")
         gf = GFp(p)
         return LaurentPoly(gf, self.min_deg, [c % p for c in self.coeffs])
-
-
-def poly_arith(a, b, op):
-    """Dispatch table used by the CLI; op in {add, sub, mul, negate_t}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "negate_t":
-        return a.negate_t()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def exact_div(num, den):
-    return num.exact_div(den)
 
 
 def modp_unit_equal(a, b, p):

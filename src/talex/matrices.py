@@ -307,28 +307,6 @@ class RingMatrix:
         d = m[n - 1][n - 1]
         return d if sign > 0 else r.neg(d)
 
-    def det_cofactor(self):
-        """Naive cofactor expansion, used as an independent oracle in tests."""
-        if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
-        r = self.ring
-        n = self.rows
-
-        def rec(rows, cols):
-            if len(cols) == 1:
-                return self.entries[rows[0]][cols[0]]
-            total = r.zero
-            for idx, j in enumerate(cols):
-                a = self.entries[rows[0]][j]
-                if r.is_zero(a):
-                    continue
-                sub = rec(rows[1:], cols[:idx] + cols[idx + 1 :])
-                term = r.mul(a, sub)
-                total = r.add(total, term) if idx % 2 == 0 else r.sub(total, term)
-            return total
-
-        return rec(tuple(range(n)), tuple(range(n)))
-
     # -- inverses -------------------------------------------------------
 
     def inverse(self):
@@ -413,22 +391,6 @@ class RingMatrix:
         return RingMatrix(ZZ, out)
 
 
-def bareiss_det(matrix):
-    """Exact determinant of a RingMatrix (cofactor for sizes <= 3)."""
-    return matrix.det()
-
-
-def matrix_to_json(M):
-    """Row-major nested arrays of polynomial objects (the CLI wire form)."""
-    return [[entry.to_json() for entry in row] for row in M.entries]
-
-
-def matrix_from_json(rows):
-    return RingMatrix(
-        ZZ_POLY, [[LaurentPoly.from_json(obj) for obj in row] for row in rows]
-    )
-
-
 def companion_matrix(p):
     """Column companion of a monic integer polynomial: subdiagonal ones,
     negated coefficients in the last column; p(C) = 0."""
@@ -447,21 +409,23 @@ def companion_matrix(p):
     return RingMatrix(ZZ, rows)
 
 
-def poly_of_matrix(p, C):
-    """Evaluate an integer polynomial at an integer matrix (Horner)."""
+def _companion_poly_matrix(C, terms):
+    """The integer matrix polynomial sum of coef * C**e * t**k over the
+    (k, e, coef) triples of ``terms``."""
     n = C.rows
-    acc = RingMatrix.zeros(ZZ, n)
-    if p.is_zero:
-        return acc
-    if p.min_deg < 0:
-        raise ValueError("needs a genuine polynomial")
-    for c in reversed(p.coeffs):
-        acc = acc * C
-        if c:
-            acc = acc + RingMatrix.identity(ZZ, n).scale(c)
-    if p.min_deg:
-        acc = acc * C ** p.min_deg
-    return acc
+    powers = [RingMatrix.identity(ZZ, n)]
+    cells = [[dict() for _ in range(n)] for _ in range(n)]
+    for k, e, coef in terms:
+        while len(powers) <= e:
+            powers.append(powers[-1] * C)
+        for i, row in enumerate(powers[e].entries):
+            for j, v in enumerate(row):
+                if v:
+                    cell = cells[i][j]
+                    cell[k] = cell.get(k, 0) + coef * v
+    return RingMatrix(
+        ZZ_POLY, [[LaurentPoly.from_dict(cell) for cell in row] for row in cells]
+    )
 
 
 def gamma_substitute(p, C):
@@ -478,30 +442,13 @@ def gamma_substitute(p, C):
     mod_comp = companion_matrix(LaurentPoly.from_int_coeffs(ring.modulus))
     if mod_comp.entries != C.entries:
         raise ValueError("companion matrix does not match the coefficient modulus")
-    n = C.rows
-    powers = [RingMatrix.identity(ZZ, n)]
-    for _ in range(ring.degree - 1):
-        powers.append(powers[-1] * C)
-    cells = [[dict() for _ in range(n)] for _ in range(n)]
-    for idx, residue in enumerate(p.coeffs):
-        k = p.min_deg + idx
-        for e, coef in enumerate(residue):
-            if not coef:
-                continue
-            mat = powers[e]
-            for i in range(n):
-                row = mat.entries[i]
-                for j in range(n):
-                    if row[j]:
-                        cell = cells[i][j]
-                        cell[k] = cell.get(k, 0) + coef * row[j]
-    return RingMatrix(
-        ZZ_POLY,
-        [
-            [LaurentPoly.from_dict(cells[i][j]) for j in range(n)]
-            for i in range(n)
-        ],
+    terms = (
+        (p.min_deg + idx, e, coef)
+        for idx, residue in enumerate(p.coeffs)
+        for e, coef in enumerate(residue)
+        if coef
     )
+    return _companion_poly_matrix(C, terms)
 
 
 def cyclic_product(P, m):
@@ -522,25 +469,8 @@ def cyclic_product(P, m):
     base = P.shift(-shift)
     if shift and abs(m.coeffs[0]) != 1:
         raise ValueError("Laurent input needs m(0) to be a unit")
-    powers = [RingMatrix.identity(ZZ, d)]
-    for _ in range(base.degree):
-        powers.append(powers[-1] * C)
-    cells = [[dict() for _ in range(d)] for _ in range(d)]
-    for idx, coef in enumerate(base.coeffs):
-        if not coef:
-            continue
-        mat = powers[idx]
-        for i in range(d):
-            row = mat.entries[i]
-            for j in range(d):
-                if row[j]:
-                    cell = cells[i][j]
-                    cell[idx] = cell.get(idx, 0) + coef * row[j]
-    M = RingMatrix(
-        ZZ_POLY,
-        [[LaurentPoly.from_dict(cells[i][j]) for j in range(d)] for i in range(d)],
-    )
-    result = M.det()
+    terms = ((k, k, coef) for k, coef in enumerate(base.coeffs) if coef)
+    result = _companion_poly_matrix(C, terms).det()
     if shift:
         # each root contributes (zeta*t)^shift; the product of the roots
         # is det(C), a unit here, so the correction is det(C)^shift * t^(d*shift)

@@ -33,7 +33,7 @@ from .representations import (
     omega_companion,
     trivial_rep,
 )
-from .rings import GFp, NonExactDivision
+from .rings import NonExactDivision
 from .words import FreeWord, ImageSum, fox_derivative, rep_evaluate
 
 
@@ -92,13 +92,13 @@ def wada(pres, rep):
 # ---------------------------------------------------------------------------
 
 
-def dihedral_total(f, p, assignment=None):
+def dihedral_total(f, p):
     """The total dihedral twisted polynomial D(t): gamma-substitute the
     omega coefficients of the xi-Wada quotient and take the
     determinant."""
     _require_divides(f, p)
     pres = presentation(f)
-    rep = dihedral_rep(pres, p, "xi", assignment=assignment)
+    rep = dihedral_rep(pres, p, "xi")
     quotient = wada(pres, rep)
     n = (p - 1) // 2
     M = gamma_substitute(quotient, omega_companion(n))
@@ -134,18 +134,17 @@ def binary_dihedral_total_of(pres, p, assignment=None):
     return gamma_substitute(quotient, companion).det().canonical()
 
 
-def binary_dihedral_total(f, p, *, crosscheck=True):
+def binary_dihedral_total(f, p):
     """The binary dihedral total of a 2-bridge knot; also checks the
     product-over-(+-i) identity against the dihedral total."""
     _require_divides(f, p)
     total = binary_dihedral_total_of(presentation(f), p)
-    if crosscheck:
-        z2_plus_1 = LaurentPoly.from_int_coeffs([1, 0, 1])
-        alt = cyclic_product(dihedral_total(f, p), z2_plus_1).canonical()
-        if alt != total:
-            raise CrossCheckMismatch(
-                f"binary dihedral total disagrees with the +-i product for {f}"
-            )
+    z2_plus_1 = LaurentPoly.from_int_coeffs([1, 0, 1])
+    alt = cyclic_product(dihedral_total(f, p), z2_plus_1).canonical()
+    if alt != total:
+        raise CrossCheckMismatch(
+            f"binary dihedral total disagrees with the +-i product for {f}"
+        )
     return total
 
 
@@ -233,14 +232,18 @@ class ModpReport:
     nqp_variant_holds: bool | None
 
 
-def modp_congruence(f, p, q=None):
+def modp_congruence(f, p, q=None, *, D=None, delta=None):
     """Check D(t) = {Delta(t)/(1+t)}^n {Delta(-t)/(1-t)}^n in (Z/p)[t]
-    up to units, and optionally the metacyclic variant at a given q."""
+    up to units, and optionally the metacyclic variant at a given q.
+
+    A caller that already holds D = dihedral_total(f, p) or
+    delta = alexander(presentation(f)) passes it in."""
     _require_divides(f, p)
     n = (p - 1) // 2
-    D = dihedral_total(f, p)
-    delta = alexander(presentation(f))
-    gf = GFp(p)
+    if D is None:
+        D = dihedral_total(f, p)
+    if delta is None:
+        delta = alexander(presentation(f))
     delta_p = delta.reduce_mod(p)
     one_plus = LaurentPoly.from_int_coeffs([1, 1]).reduce_mod(p)
     one_minus = LaurentPoly.from_int_coeffs([1, -1]).reduce_mod(p)

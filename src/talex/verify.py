@@ -823,13 +823,12 @@ class ItemError:
         return f"{self.kind}: {self.message}"
 
 
-def run_suite(items, jobs=1):
-    """Execute items, preserving order; returns (results, all_ok).
+def run_suite(items):
+    """Execute items in order; returns (results, all_ok).
 
     results: list of (name, ok, advisory), where ok is a bool verdict or
     an ItemError.  all_ok is False when a non-advisory item fails or any
-    item raises.  Parallelism never changes results: items are pure and
-    merged by index.
+    item raises.
     """
     def run_one(item):
         try:
@@ -837,16 +836,7 @@ def run_suite(items, jobs=1):
         except Exception as e:
             return ItemError(type(e).__name__, str(e))
 
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, items))
-    else:
-        outcomes = [run_one(item) for item in items]
-    results = [
-        (item.name, ok, item.advisory) for item, ok in zip(items, outcomes)
-    ]
+    results = [(item.name, run_one(item), item.advisory) for item in items]
     crashed = any(isinstance(ok, ItemError) for _, ok, _ in results)
     all_ok = not crashed and all(ok for _, ok, advisory in results if not advisory)
     return results, all_ok

@@ -130,10 +130,6 @@ class FreeWord:
         return max((abs(c) for c in self.codes), default=0)
 
 
-def abelianize(word):
-    return word.exponent_sum()
-
-
 class GroupRingSum:
     """A formal Z-linear combination of free-group words."""
 
@@ -267,13 +263,6 @@ def _fox_walk(codes, target, rep):
             cell = cells.setdefault(g, {})
             cell[e] = cell.get(e, 0) - 1
     return ImageSum(rep, {h: LaurentPoly.from_dict(cell) for h, cell in cells.items()})
-
-
-def fox_matrix(relators, num_gens):
-    """All Fox derivatives of a presentation's relators."""
-    return [
-        [fox_derivative(r, j) for j in range(num_gens)] for r in relators
-    ]
 
 
 def psi_evaluate(s):

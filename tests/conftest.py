@@ -3,21 +3,7 @@ import random
 import pytest
 
 from talex.laurent import LaurentPoly
-
-
-def P(*coeffs):
-    return LaurentPoly.from_int_coeffs(coeffs)
-
-
-def Pstep(step, *coeffs):
-    return LaurentPoly.from_dict({k * step: c for k, c in enumerate(coeffs)})
-
-
-def prod(polys):
-    out = LaurentPoly.one()
-    for q in polys:
-        out = out * q
-    return out
+from talex.verify import P, Pstep, prod  # noqa: F401  (re-exported to the tests)
 
 
 @pytest.fixture

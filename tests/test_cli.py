@@ -104,13 +104,6 @@ def test_factor_off_hp_exits_zero(capsys):
     assert payload["modp"] is True
 
 
-def test_verify_identities_deterministic_under_jobs(capsys):
-    code1, out1, _ = run(capsys, "verify", "identities", "--jobs", "1")
-    code2, out2, _ = run(capsys, "verify", "identities", "--jobs", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_verify_census_smoke(capsys):
     code, out, _ = run(capsys, "verify", "census", "--seed", "3", "--max-n", "6")
     assert code == 0

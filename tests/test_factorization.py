@@ -212,6 +212,37 @@ def test_torus_q_probe():
         assert torus_q_probe(p)
 
 
+@pytest.mark.parametrize(
+    "pair, p, splits",
+    [((85, 19), 5, True), ((7, 2), 7, False)],
+    ids=["19/85 p=5 splits", "2/7 p=7 does not split"],
+)
+def test_conjecture_report_builds_each_input_once(monkeypatch, pair, p, splits):
+    import talex.factorization
+    import talex.twisted
+
+    calls = {"D": 0, "torus": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (talex.factorization, talex.twisted):
+        monkeypatch.setattr(
+            module, "dihedral_total", counted("D", module.dihedral_total)
+        )
+    monkeypatch.setattr(
+        talex.factorization, "torus_gh", counted("torus", talex.factorization.torus_gh)
+    )
+    report = conjecture_report(F(*pair), p)
+    assert report.split is splits
+    assert calls["D"] == 1
+    assert calls["torus"] <= 1
+
+
 def test_conjecture_report_19_85():
     report = conjecture_report(F(85, 19), 5)
     assert report.split and report.factorization_exists

@@ -13,7 +13,6 @@ from talex.knots import (
     cf_eval,
     epsilon_sequence,
     hp_expansion,
-    knot_determinant,
     presentation,
     presentation_8_5,
     random_fraction,
@@ -137,7 +136,3 @@ def test_alexander_invariants_random(rng):
         assert delta.unit_equal(delta.reverse_t())
         assert abs(delta.eval_int(-1)) == f.alpha
 
-
-def test_knot_determinant():
-    assert knot_determinant(TwoBridgeFraction(27, 5)) == 27
-    assert knot_determinant(TwoBridgeFraction(85, 19)) == 85
