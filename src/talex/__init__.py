@@ -12,10 +12,8 @@ from .matrices import (
 )
 from .words import (
     FreeWord,
-    GroupRingSum,
     ImageSum,
     fox_derivative,
-    psi_evaluate,
     rep_evaluate,
 )
 from .knots import (

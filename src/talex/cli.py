@@ -29,7 +29,6 @@ from .laurent import DegreeLimitExceeded, LaurentPoly
 from .representations import NoValidAssignment
 from .rings import NonExactDivision
 from .twisted import (
-    AllDenominatorsSingular,
     CrossCheckMismatch,
     binary_dihedral_total,
     dihedral_total,
@@ -259,7 +258,7 @@ def main(argv=None):
     except (NonExactDivision, CertificateFailure, CrossCheckMismatch) as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return CERTIFICATE_ERROR
-    except (AllDenominatorsSingular, NotSplit, DegreeLimitExceeded) as e:
+    except (NotSplit, DegreeLimitExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return PRECONDITION_ERROR
     if isinstance(result, int):

@@ -4,26 +4,13 @@ The factorization itself (squarefree split, modular factorization,
 Hensel lifting, recombination) is delegated to sympy's univariate
 machinery; this module owns the contract: content times irreducible
 primitive factors with multiplicity, reproducing the input exactly.
+sympy is imported on first use, so ``import talex`` does not load it.
 """
 
 from __future__ import annotations
 
-import sympy
-
 from .laurent import LaurentPoly
 from .rings import ZZ
-
-_T = sympy.Symbol("t")
-
-
-def _poly_to_sympy(p):
-    base = p.shift(-p.min_deg)
-    return sympy.Poly(dict(enumerate(base.coeffs)), _T, domain="ZZ")
-
-
-def _poly_from_sympy(poly):
-    coeffs = poly.all_coeffs()[::-1]
-    return LaurentPoly.from_int_coeffs([int(c) for c in coeffs])
 
 
 def int_poly_factor(p):
@@ -37,6 +24,13 @@ def int_poly_factor(p):
         raise ValueError("cannot factor the zero polynomial")
     if p.ring is not ZZ:
         raise TypeError("int_poly_factor needs integer coefficients")
-    content, raw = sympy.factor_list(_poly_to_sympy(p))
-    factors = [(_poly_from_sympy(q), int(m)) for q, m in raw]
+    import sympy
+
+    base = p.shift(-p.min_deg)
+    poly = sympy.Poly(dict(enumerate(base.coeffs)), sympy.Symbol("t"), domain="ZZ")
+    content, raw = sympy.factor_list(poly)
+    factors = [
+        (LaurentPoly.from_int_coeffs([int(c) for c in q.all_coeffs()[::-1]]), int(m))
+        for q, m in raw
+    ]
     return int(content), factors

@@ -205,9 +205,7 @@ def alexander(pres):
         return _psi_fox(pres.relators[0], 0, rep).canonical()
     from .matrices import RingMatrix, ZZ_POLY
 
-    omit = 0
-    cols = [j for j in range(k) if j != omit]
-    entries = [[_psi_fox(r, j, rep) for j in cols] for r in pres.relators]
+    entries = [[_psi_fox(r, j, rep) for j in range(1, k)] for r in pres.relators]
     return RingMatrix(ZZ_POLY, entries).det().canonical()
 
 

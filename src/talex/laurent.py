@@ -310,17 +310,6 @@ class LaurentPoly:
                 out.append(c)
         return LaurentPoly(ring, self.min_deg, out, _trusted=True)
 
-    def inflate(self, m):
-        """The substitution t -> t**m (m >= 1)."""
-        if self.is_zero:
-            return self
-        ring = self.ring
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            if not ring.is_zero(c):
-                out[(self.min_deg + i) * m] = c
-        return LaurentPoly.from_dict(out, ring)
-
     def reverse_t(self):
         """The substitution t -> 1/t."""
         return LaurentPoly(

@@ -426,7 +426,7 @@ class MatrixRep:
     faster.  A relator holds when its walk ends at id 0.
     """
 
-    def __init__(self, pres, images, t_degrees=None):
+    def __init__(self, pres, images):
         gens = pres.gens
         if set(images) != set(gens):
             raise ValueError("assignment must cover exactly the generators")
@@ -439,7 +439,6 @@ class MatrixRep:
         self.pres = pres
         self.gens = tuple(gens)
         self.images = dict(images)
-        self.t_degrees = dict(t_degrees or {g: 1 for g in gens})
         self._inverses = {g: m.inverse() for g, m in self.images.items()}
         identity = RingMatrix.identity(self.coeff_ring, self.dim)
         self._elements = [identity]
@@ -485,9 +484,6 @@ class MatrixRep:
     def element(self, g):
         """The image matrix of element id ``g``."""
         return self._elements[g]
-
-    def word_image(self, word):
-        return self._elements[self.walk(word.codes)]
 
 
 def rep_from_pair(pres, s_img, a_img, exponents):

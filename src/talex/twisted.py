@@ -31,14 +31,9 @@ from .representations import (
     multiplicative_order,
     nqp_rep,
     omega_companion,
-    trivial_rep,
 )
 from .rings import NonExactDivision
 from .words import FreeWord, ImageSum, fox_derivative, rep_evaluate
-
-
-class AllDenominatorsSingular(ArithmeticError):
-    """No generator has det(image * t - identity) nonzero."""
 
 
 class CrossCheckMismatch(AssertionError):
@@ -51,39 +46,23 @@ def _require_divides(f, p):
 
 
 def wada_parts(pres, rep):
-    """(numerator det, denominator det, omitted generator index).
+    """(numerator det, denominator det) with generator 0 omitted.
 
-    The omitted generator is the first one in presentation order whose
-    denominator determinant is nonzero (for invertible images it always
-    is, so this is deterministic and usually index 0)."""
-    k = pres.num_gens
-    identity = RingMatrix.identity(rep.coeff_ring, rep.dim)
-    poly_identity = None
-    omit = None
-    den = None
-    for j in range(k):
-        mat = rep_evaluate(ImageSum.of_word(FreeWord.generator(j), rep), rep)
-        if poly_identity is None:
-            poly_identity = RingMatrix.identity(mat.ring, rep.dim)
-        cand = (mat - poly_identity).det()
-        if not cand.is_zero:
-            omit = j
-            den = cand
-            break
-    if omit is None:
-        raise AllDenominatorsSingular(pres.gens)
-    cols = [m for m in range(k) if m != omit]
+    The denominator det(X t - I), X the image of generator 0, has
+    constant term det(-I) = +-1, so it is never zero."""
+    mat = rep_evaluate(ImageSum.of_word(FreeWord.generator(0), rep))
+    den = (mat - RingMatrix.identity(mat.ring, rep.dim)).det()
     blocks = [
-        [rep_evaluate(fox_derivative(r, m, rep), rep) for m in cols]
+        [rep_evaluate(fox_derivative(r, m, rep)) for m in range(1, pres.num_gens)]
         for r in pres.relators
     ]
     num = RingMatrix.block(blocks).det()
-    return num, den, omit
+    return num, den
 
 
 def wada(pres, rep):
     """The twisted Alexander polynomial (Wada invariant), canonical."""
-    num, den, _ = wada_parts(pres, rep)
+    num, den = wada_parts(pres, rep)
     return num.exact_div(den).canonical()
 
 
@@ -212,14 +191,6 @@ def kmeta_total(pres, p, k, assignment=None):
     )
 
 
-def trivial_total(pres):
-    """Numerator of the Wada quotient under the trivial 1-dim
-    representation (the quotient itself is Delta/(t-1), not a
-    polynomial); cross-checks knots.alexander."""
-    num, den, _ = wada_parts(pres, trivial_rep(pres))
-    return num.canonical(), den.canonical()
-
-
 # ---------------------------------------------------------------------------
 # mod-p structure
 # ---------------------------------------------------------------------------
@@ -285,7 +256,7 @@ def modp_triangular_structure(f, p):
     _require_divides(f, p)
     pres = presentation(f)
     rep = dihedral_rep(pres, p, "eta")
-    M = rep_evaluate(fox_derivative(pres.relators[0], 0, rep), rep)
+    M = rep_evaluate(fox_derivative(pres.relators[0], 0, rep))
     n = (p - 1) // 2
     delta_raw = alexander_raw(pres)
     diag_upper = delta_raw.negate_t().reduce_mod(p)

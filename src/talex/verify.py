@@ -771,39 +771,45 @@ def census_suite(seed=7, count=50):
             continue
         seen.add((f.alpha, f.beta, p))
         samples.append((f, p))
-    items = []
 
-    def congruence(f, p):
-        return modp_congruence(f, p).congruence_holds
+    def sample_items(f, p):
+        built = []
 
-    def factor_report(f, p):
-        try:
-            f_polynomial(f, p)
-            return True
-        except (NotSplit, NonExactDivision):
-            # expected off H(p): record whether the fallback pairs it
-            return factor_pairing(dihedral_total(f, p)) is not None
+        def D():
+            # built by whichever of the two items runs first
+            if not built:
+                built.append(dihedral_total(f, p))
+            return built[0]
 
-    for f, p in samples:
-        items.append(
-            Item(f"mod-p congruence holds for {f} p={p}", lambda f=f, p=p: congruence(f, p))
-        )
-        items.append(
+        def factor_report():
+            try:
+                f_polynomial(f, p, D=D())
+                return True
+            except (NotSplit, NonExactDivision):
+                # expected off H(p): record whether the fallback pairs it
+                return factor_pairing(D()) is not None
+
+        return [
             Item(
-                f"factorization finding for {f} p={p}",
-                lambda f=f, p=p: factor_report(f, p),
-                advisory=True,
-            )
-        )
-    return items
+                f"mod-p congruence holds for {f} p={p}",
+                lambda: modp_congruence(f, p, D=D()).congruence_holds,
+            ),
+            Item(f"factorization finding for {f} p={p}", factor_report, advisory=True),
+        ]
+
+    return [item for f, p in samples for item in sample_items(f, p)]
+
+
+def _given(value, default):
+    return default if value is None else value
 
 
 SUITES = {
     "paper": lambda **kw: paper_suite(),
     "identities": lambda **kw: identities_suite(),
-    "appendix": lambda **kw: appendix_suite(max_n=kw.get("max_n") or 20),
+    "appendix": lambda **kw: appendix_suite(max_n=_given(kw.get("max_n"), 20)),
     "census": lambda **kw: census_suite(
-        seed=kw.get("seed") or 7, count=kw.get("max_n") or 50
+        seed=_given(kw.get("seed"), 7), count=_given(kw.get("max_n"), 50)
     ),
 }
 

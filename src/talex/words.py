@@ -1,4 +1,4 @@
-"""Free-group words, group-ring sums, and Fox free differential calculus.
+"""Free-group words and Fox free differential calculus.
 
 Words are stored freely reduced at all times as tuples of nonzero
 signed letter codes: ``+k`` is the k-th generator (1-based), ``-k`` its
@@ -16,9 +16,7 @@ polynomial per element: O(L) time and memory for a relator of length L,
 where materializing the L prefix words costs O(L^2) of both.
 ``rep_evaluate`` then applies each distinct image once, and the
 augmentation (the sum over G) is the abelianized psi-image that gives
-the Alexander polynomial.  Without a rep, ``fox_derivative`` returns the
-free-group ``GroupRingSum``, which ``psi_evaluate`` and ``rep_evaluate``
-still accept: that path is the independent oracle of the tests.
+the Alexander polynomial.
 """
 
 from __future__ import annotations
@@ -80,15 +78,6 @@ class FreeWord:
             out.append(name if c > 0 else name.upper())
         return "".join(out)
 
-    @property
-    def letters(self):
-        """(generator index 0-based, exponent +-1) pairs."""
-        return [(abs(c) - 1, 1 if c > 0 else -1) for c in self.codes]
-
-    @property
-    def is_identity(self):
-        return not self.codes
-
     def __len__(self):
         return len(self.codes)
 
@@ -130,71 +119,6 @@ class FreeWord:
         return max((abs(c) for c in self.codes), default=0)
 
 
-class GroupRingSum:
-    """A formal Z-linear combination of free-group words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for word, coef in terms.items():
-                if coef:
-                    clean[word] = clean.get(word, 0) + coef
-        self.terms = {w: c for w, c in clean.items() if c}
-
-    @classmethod
-    def from_word(cls, word, coef=1):
-        return cls({word: coef})
-
-    @classmethod
-    def one(cls):
-        return cls({FreeWord(): 1})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingSum) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "GroupRingSum(0)"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w.codes), w.codes)):
-            c = self.terms[w]
-            name = w.to_text() or "1"
-            bits.append(f"{c:+d}*{name}")
-        return f"GroupRingSum({' '.join(bits)})"
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingSum(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return GroupRingSum(out)
-
-    def __neg__(self):
-        return GroupRingSum({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa * wb
-                out[w] = out.get(w, 0) + ca * cb
-        return GroupRingSum(out)
-
-    def scale(self, n):
-        return GroupRingSum({w: n * c for w, c in self.terms.items()})
-
-
 class ImageSum:
     """An element of Z[G][t^+-1], G the image group of a MatrixRep:
     ``terms`` maps element ids of the rep's table to nonzero integer
@@ -222,38 +146,23 @@ class ImageSum:
         return acc
 
 
-def fox_derivative(relator, gen_index, rep=None):
+def fox_derivative(relator, gen_index, rep):
     """The Fox free derivative of a word with respect to generator
-    ``gen_index`` (0-based).
+    ``gen_index`` (0-based), pushed forward into the image group of
+    ``rep``: an ImageSum, computed in one pass without forming any
+    prefix.
 
     Standard axioms: d(uv) = du + u dv, dg/dg = 1, dg^-1/dg = -g^-1,
     and dh^{+-1}/dg = 0 for h != g.  The word is differentiated in its
     freely reduced form (Fox derivatives are invariant under free
-    reduction).  Without ``rep`` the result is a GroupRingSum of prefix
-    words; with a MatrixRep it is the ImageSum pushed forward into the
-    rep's image group, computed in one pass without forming any prefix.
+    reduction).
     """
     target = gen_index + 1
-    codes = relator.codes
-    if rep is not None:
-        return _fox_walk(codes, target, rep)
-    out = {}
-    for i, c in enumerate(codes):
-        if c == target:
-            prefix = FreeWord._trusted(codes[:i])
-            out[prefix] = out.get(prefix, 0) + 1
-        elif c == -target:
-            prefix = FreeWord._trusted(codes[: i + 1])
-            out[prefix] = out.get(prefix, 0) - 1
-    return GroupRingSum(out)
-
-
-def _fox_walk(codes, target, rep):
     step = rep.step
     cells = {}  # element id -> {t-exponent: coefficient}
     g = 0
     e = 0
-    for c in codes:
+    for c in relator.codes:
         if c == target:
             cell = cells.setdefault(g, {})
             cell[e] = cell.get(e, 0) + 1
@@ -265,77 +174,14 @@ def _fox_walk(codes, target, rep):
     return ImageSum(rep, {h: LaurentPoly.from_dict(cell) for h, cell in cells.items()})
 
 
-def psi_evaluate(s):
-    """Abelianized evaluation: sum of coeff * t^(exponent sum of word)."""
-    acc = {}
-    for w, c in s.terms.items():
-        d = w.exponent_sum()
-        acc[d] = acc.get(d, 0) + c
-    return LaurentPoly.from_dict(acc)
+def rep_evaluate(s):
+    """Evaluate an ImageSum under its representation.
 
-
-def rep_evaluate(s, rep):
-    """Evaluate a group-ring sum under a matrix representation.
-
-    Returns sum of coeff * M(word) * t^(abelianization degree) as a
+    Returns sum of M(g) * poly_g(t) over the image elements g as a
     matrix of Laurent polynomials over the representation's
-    coefficient ring.  An ImageSum already carries one polynomial per
-    image element, so each distinct image is applied once.  A free
-    GroupRingSum (the test oracle) is walked in sorted word order with
-    a stack of shared prefix products, so families of prefixes cost
-    one matrix product per distinct letter edge instead of one per
-    (word, letter) pair.
+    coefficient ring; each distinct image is applied once.
     """
-    if isinstance(s, ImageSum):
-        return _image_evaluate(s, rep)
-    ring = rep.coeff_ring
-    n = rep.dim
-    poly_ring = PolyRing(ring)
-    if s.is_zero:
-        return RingMatrix.zeros(poly_ring, n)
-    cells = [[dict() for _ in range(n)] for _ in range(n)]
-    identity = RingMatrix.identity(ring, n)
-    stack = [identity]
-    prev = ()
-    for word in sorted(s.terms, key=lambda w: w.codes):
-        codes = word.codes
-        coef = s.terms[word]
-        common = 0
-        limit = min(len(prev), len(codes))
-        while common < limit and prev[common] == codes[common]:
-            common += 1
-        del stack[common + 1 :]
-        for c in codes[common:]:
-            stack.append(stack[-1] * rep.image_of_code(c))
-        prev = codes
-        mat = stack[-1]
-        deg = word.exponent_sum()
-        for i in range(n):
-            row = mat.entries[i]
-            for j in range(n):
-                v = row[j]
-                if not ring.is_zero(v):
-                    cell = cells[i][j]
-                    prior = cell.get(deg)
-                    cell[deg] = (
-                        ring.mul(ring.from_int(coef), v)
-                        if prior is None
-                        else ring.add(prior, ring.mul(ring.from_int(coef), v))
-                    )
-    zero = ring.zero
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = {k: v for k, v in cells[i][j].items() if not ring.is_zero(v)}
-            row.append(LaurentPoly.from_dict(cell, ring) if cell else LaurentPoly.zero(ring))
-        out.append(row)
-    return RingMatrix(poly_ring, out)
-
-
-def _image_evaluate(s, rep):
-    if s.rep is not rep:
-        raise ValueError("the ImageSum was walked through another representation")
+    rep = s.rep
     ring = rep.coeff_ring
     n = rep.dim
     poly_ring = PolyRing(ring)

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import fox_oracle
 from conftest import P, Pstep, prod
 from talex.factorization import f_polynomial, conjecture_report, torus_q_probe
 from talex.knots import (
@@ -57,6 +58,7 @@ from talex.verify import (
     run_suite,
     swap_unit_equal,
 )
+from talex.words import FreeWord
 
 ONE_MINUS_T = P(1, -1)
 
@@ -246,29 +248,29 @@ def test_criterion_9_structural_invariants():
             assert fundamental_identity_holds(pres)
 
         # Wada omitted-generator independence on 8_5
-        from talex.words import FreeWord, GroupRingSum, fox_derivative, rep_evaluate
-
         pres = presentation_8_5()
         rep = dihedral_rep(pres, 3, "pi", assignment=(0, 1, 0))
         quotients = []
         for omit in range(3):
             cols = [m for m in range(3) if m != omit]
             blocks = [
-                [rep_evaluate(fox_derivative(r, m), rep) for m in cols]
+                [fox_oracle.evaluate(fox_oracle.fox(r, m), rep) for m in cols]
                 for r in pres.relators
             ]
             num = RingMatrix.block(blocks).det()
-            mat = rep_evaluate(GroupRingSum.from_word(FreeWord.generator(omit)), rep)
+            gen = fox_oracle.word(FreeWord.generator(omit))
+            mat = fox_oracle.evaluate(gen, rep)
             den = (mat - RingMatrix.identity(mat.ring, rep.dim)).det()
             quotients.append(num.exact_div(den).canonical())
         assert quotients[0] == quotients[1] == quotients[2]
+        assert quotients[0] == wada(pres, rep)
 
         # denominator identity det(xi(y)t - I) = (1-t)(1+t) for all tested p
         for p in (3, 5, 7, 11, 13):
             pres = presentation(F(p, 1))
             rep = dihedral_rep(pres, p, "xi")
             ring = rep.coeff_ring
-            _, den, _ = wada_parts(pres, rep)
+            _, den = wada_parts(pres, rep)
             want = LaurentPoly.from_dict({0: ring.one, 2: ring.neg(ring.one)}, ring)
             assert den.canonical() == want
 

@@ -110,6 +110,23 @@ def test_verify_census_smoke(capsys):
     assert "checks passed" in out
 
 
+def census_knots(capsys, *argv):
+    code, out, _ = run(capsys, "verify", "census", "--max-n", "2", *argv)
+    assert code == 0
+    return [line.split(" for ")[1] for line in out.splitlines() if " for " in line]
+
+
+def test_verify_census_seed_zero_is_a_seed(capsys):
+    assert census_knots(capsys, "--seed", "0") != census_knots(capsys, "--seed", "7")
+    assert census_knots(capsys) == census_knots(capsys, "--seed", "7")
+
+
+def test_verify_census_max_n_zero_runs_no_sample(capsys):
+    code, out, _ = run(capsys, "verify", "census", "--max-n", "0")
+    assert code == 0
+    assert out.strip() == "0/0 checks passed (0 advisory findings reported)"
+
+
 def raising_suite(advisory):
     from talex.verify import Item
 

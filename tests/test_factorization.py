@@ -243,9 +243,27 @@ def test_conjecture_report_builds_each_input_once(monkeypatch, pair, p, splits):
     assert calls["torus"] <= 1
 
 
+def test_census_suite_builds_D_once_per_sample(monkeypatch):
+    import talex.factorization
+    import talex.twisted
+    import talex.verify
+
+    builds = []
+    for module in (talex.factorization, talex.twisted, talex.verify):
+        fn = module.dihedral_total
+        monkeypatch.setattr(
+            module,
+            "dihedral_total",
+            lambda f, p, fn=fn: builds.append((f, p)) or fn(f, p),
+        )
+    _, all_ok = talex.verify.run_suite(talex.verify.census_suite(seed=7, count=20))
+    assert all_ok
+    assert len(builds) == 20 == len(set(builds))
+
+
 def test_conjecture_report_19_85():
     report = conjecture_report(F(85, 19), 5)
-    assert report.split and report.factorization_exists
+    assert report.split and report.F is not None
     assert report.hp == "yes"
     assert report.modp and report.modp_f
     assert report.remark53

@@ -1,10 +1,10 @@
 """The streamed Fox walk against the free-word oracle, and its scale.
 
 ``fox_derivative(r, j, rep)`` pushes the derivative forward into the
-image group in one pass; ``rep_evaluate(fox_derivative(r, j), rep)``
-materializes every prefix word and multiplies matrices along them.  The
-two share no code beyond the generator images, so agreement on every
-representation flavor is the correctness certificate of the walk.
+image group in one pass; the oracle (``fox_oracle``) lists every prefix
+word and multiplies matrices along them.  The two share no code beyond
+the generator images, so agreement on every representation flavor is
+the correctness certificate of the walk.
 """
 
 import time
@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+import fox_oracle
 from talex.knots import (
     TwoBridgeFraction,
     alexander,
@@ -19,6 +20,7 @@ from talex.knots import (
     presentation_8_5,
     random_fraction,
 )
+from talex.matrices import RingMatrix
 from talex.representations import (
     binary_dihedral_rep,
     dihedral_rep,
@@ -27,27 +29,20 @@ from talex.representations import (
     trivial_rep,
 )
 from talex.twisted import dihedral_total, modp_congruence
-from talex.words import (
-    FreeWord,
-    GroupRingSum,
-    ImageSum,
-    fox_derivative,
-    psi_evaluate,
-    rep_evaluate,
-)
+from talex.words import FreeWord, ImageSum, fox_derivative, rep_evaluate
 
 
 def assert_walk_matches_oracle(pres, rep, label=""):
     for r in pres.relators:
         for j in range(pres.num_gens):
-            free = fox_derivative(r, j)
+            free = fox_oracle.fox(r, j)
             streamed = fox_derivative(r, j, rep)
-            assert rep_evaluate(streamed, rep) == rep_evaluate(free, rep), (label, j)
-            assert streamed.augmentation() == psi_evaluate(free), (label, j)
+            assert rep_evaluate(streamed) == fox_oracle.evaluate(free, rep), (label, j)
+            assert streamed.augmentation() == fox_oracle.psi(free), (label, j)
     for j in range(pres.num_gens):
         gen = FreeWord.generator(j)
-        assert rep_evaluate(ImageSum.of_word(gen, rep), rep) == rep_evaluate(
-            GroupRingSum.from_word(gen), rep
+        assert rep_evaluate(ImageSum.of_word(gen, rep)) == fox_oracle.evaluate(
+            fox_oracle.word(gen), rep
         ), (label, j)
 
 
@@ -98,6 +93,35 @@ def test_walk_matches_oracle_on_8_5():
         assert_walk_matches_oracle(pres, rep)
 
 
+def assert_fundamental_identity(pres, rep, label=""):
+    # sum_j rep(dR/dx_j) (X_j t - I) = rep(R) - I = 0 for every relator R
+    gens = [
+        rep_evaluate(ImageSum.of_word(FreeWord.generator(j), rep))
+        for j in range(pres.num_gens)
+    ]
+    one = RingMatrix.identity(gens[0].ring, rep.dim)
+    zero = RingMatrix.zeros(gens[0].ring, rep.dim)
+    for r in pres.relators:
+        total = zero
+        for j, gen in enumerate(gens):
+            total = total + rep_evaluate(fox_derivative(r, j, rep)) * (gen - one)
+        assert total == zero, label
+
+
+def test_fundamental_identity_on_the_walk(rng):
+    for p in (3, 5, 7):
+        f = random_fraction(rng, p=p, max_alpha=120)
+        pres = presentation(f)
+        for name, rep in rep_flavors(pres, f, p).items():
+            assert_fundamental_identity(pres, rep, f"{f} {name}")
+    pres = presentation_8_5()
+    for rep in (
+        dihedral_rep(pres, 3, "pi", assignment=(0, 1, 0)),
+        kmeta_rep(pres, 7, -2, assignment=(0, 1, 0)),
+    ):
+        assert_fundamental_identity(pres, rep)
+
+
 def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng):
     pres = presentation(random_fraction(rng, p=5, max_alpha=200))
     bounds = (
@@ -111,7 +135,7 @@ def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng):
             product = rep.element(0)
             for c in word.codes:
                 product = product * rep.image_of_code(c)
-            assert rep.word_image(word) == product
+            assert rep.element(rep.walk(word.codes)) == product
         assert len(rep._elements) <= order
 
 
@@ -120,7 +144,7 @@ def test_zero_derivative_evaluates_to_zero():
     rep = dihedral_rep(pres, 3, "xi")
     s = fox_derivative(FreeWord.from_text("yY"), 0, rep)
     assert s.terms == {}
-    assert rep_evaluate(s, rep) == rep_evaluate(GroupRingSum(), rep)
+    assert rep_evaluate(s) == fox_oracle.evaluate({}, rep)
     assert s.augmentation().is_zero
 
 

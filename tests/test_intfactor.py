@@ -1,8 +1,14 @@
 """The integer-factorization contract behind the fallback pairing."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import talex
 
 from conftest import P, Pstep, prod, random_poly
 from talex.intfactor import int_poly_factor
@@ -62,3 +68,15 @@ def test_factors_certified_irreducible_by_refactoring():
 def test_rejects_zero_and_wrong_ring():
     with pytest.raises(ValueError):
         int_poly_factor(LaurentPoly.zero())
+
+
+def test_import_talex_leaves_sympy_unloaded():
+    # sympy is loaded on the first factorization, not by the import
+    code = """
+import sys, talex
+assert "sympy" not in sys.modules
+P = talex.LaurentPoly.from_int_coeffs
+assert talex.int_poly_factor(P([-1, 0, 1])) == (1, [(P([-1, 1]), 1), (P([1, 1]), 1)])
+"""
+    path = os.pathsep.join([str(Path(talex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))

@@ -158,8 +158,7 @@ def test_eval_int():
     assert Pstep(2, 1, 1).eval_int(2) == 5
 
 
-def test_inflate_and_reverse():
-    assert P(1, 2).inflate(3) == Pstep(3, 1, 2)
+def test_reverse_t():
     assert P(1, 2, 3).reverse_t() == LaurentPoly.from_int_coeffs([3, 2, 1], min_deg=-2)
 
 

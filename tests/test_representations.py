@@ -264,4 +264,4 @@ def test_every_constructed_rep_checks_relators():
     ):
         I = RingMatrix.identity(rep.coeff_ring, rep.dim)
         for r in pres.relators:
-            assert rep.word_image(r) == I
+            assert rep.element(rep.walk(r.codes)) == I
