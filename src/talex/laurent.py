@@ -11,7 +11,8 @@ integer-coefficient multiplications and exact divisions are routed
 through Kronecker substitution (packing the coefficient vector into a
 single Python bigint), which is what keeps the census-scale
 computations within budget; Z[omega]-coefficient products use a
-bivariate packing of the same kind.
+bivariate packing of the same kind, and GF(p) products pack the
+residues as integers and reduce the product mod p.
 """
 
 from __future__ import annotations
@@ -264,6 +265,9 @@ class LaurentPoly:
             return LaurentPoly(ZZ, lo, _kron_mul_int(a, b))
         if isinstance(ring, QuotientRing) and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
             return LaurentPoly(ring, lo, _kron_mul_quot(a, b, ring))
+        if isinstance(ring, GFp) and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
+            p = ring.p
+            return LaurentPoly(ring, lo, [c % p for c in _kron_mul_int(a, b)])
         out = [ring.zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if ring.is_zero(x):

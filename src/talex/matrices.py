@@ -2,17 +2,26 @@
 
 ``RingMatrix`` is generic over an "element ring" object: either one of
 the coefficient rings from :mod:`talex.rings` or a ``PolyRing`` wrapper
-whose elements are LaurentPoly values.  Determinants use cofactor
-expansion up to 3x3 and fraction-free Bareiss elimination (with row
-pivoting; every interior division is exact by construction) beyond
-that, which keeps all arithmetic in the ring.
+whose elements are LaurentPoly values.  ``RingMatrix.det`` is the one
+determinant entry point, with three routes:
+
+* cofactor expansion up to 3x3, over any ring;
+* for integer Laurent matrices from 8x8 on with at least two nonzero
+  entries per unit of the degree bound D, a modular route: shift each
+  row to a polynomial, evaluate at x = 0..D modulo one m above twice a
+  Hadamard coefficient bound, eliminate mod m, Newton-interpolate and
+  lift symmetrically, which is exact, not probabilistic;
+* fraction-free Bareiss elimination (with row pivoting; every interior
+  division is exact by construction) otherwise, which keeps all
+  arithmetic in the ring and is the test oracle for the modular route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
-from .laurent import LaurentPoly
+from .laurent import DegreeLimitExceeded, LaurentPoly, _degree_cap
 from .rings import ZZ, NonExactDivision, QuotientRing, RingMismatch
 
 
@@ -266,6 +275,17 @@ class RingMatrix:
                 term = r.mul(e[0][j], minor)
                 total = r.add(total, term) if j % 2 == 0 else r.sub(total, term)
             return total
+        if r == ZZ_POLY and n >= 8:
+            shape = _row_shape(e)
+            if shape is None:
+                return r.zero
+            lows, degree, nonzero = shape
+            # the modular route pays one elimination per evaluation point,
+            # D + 1 of them; measured on the N(q,p) Fox matrices and the
+            # cyclic products, it beats Bareiss from two nonzero entries
+            # per unit of D on
+            if nonzero >= 2 * degree:
+                return _modular_det(e, lows, degree)
         return self._bareiss()
 
     def _bareiss(self):
@@ -389,6 +409,153 @@ class RingMatrix:
                 )
             out.append([int(c) for c in back])
         return RingMatrix(ZZ, out)
+
+
+# -- the modular determinant over Z[t^+-1] ----------------------------------
+
+
+def _row_shape(entries):
+    """(row shifts lo_i, degree bound D, nonzero entries) of a square
+    matrix over Z[t^+-1], or None when a row is zero.
+
+    Row i is multiplied by t**-lo_i, lo_i its lowest exponent, so the
+    determinant is t**sum(lo_i) times a polynomial of degree at most D,
+    the sum of the shifted row degrees."""
+    lows = []
+    degree = 0
+    nonzero = 0
+    for row in entries:
+        hot = [e for e in row if e.coeffs]
+        if not hot:
+            return None
+        lo = min(e.min_deg for e in hot)
+        lows.append(lo)
+        degree += max(e.degree for e in hot) - lo
+        nonzero += len(hot)
+    return lows, degree, nonzero
+
+
+def _coefficient_bound(entries):
+    """B = floor(prod_i sqrt(sum_j |a_ij|_1^2)) bounds every coefficient
+    of det A: on |z| = 1 each entry is at most its l1 norm, Hadamard's
+    inequality bounds |det A(z)|, and a coefficient is a mean of
+    det A(z) z^-k over the circle."""
+    square_norms = 1
+    for row in entries:
+        square_norms *= sum(sum(map(abs, e.coeffs)) ** 2 for e in row)
+    return isqrt(square_norms)
+
+
+def _is_strong_probable_prime(n):
+    """Miller-Rabin to base 2.  The modular determinant stays exact for a
+    composite modulus; a prime only makes a non-unit pivot unlikely."""
+    if n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(2, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _eliminated_det(rows, m):
+    """det of a square matrix of residues mod m by Gaussian elimination.
+
+    Every pivot is inverted with pow(x, -1, m), which raises ValueError
+    for a non-unit, so the result is exact over Z/m for any m.  Rows
+    shrink by their pivot column as the elimination proceeds, and the
+    updates are reduced mod m only when a row becomes the pivot row."""
+    det = 1
+    n = len(rows)
+    for k in range(n):
+        for i in range(k, n):
+            pivot = rows[i][0] % m
+            if pivot:
+                break
+        else:
+            return 0
+        if i != k:
+            rows[i], rows[k] = rows[k], rows[i]
+            det = -det
+        det = det * pivot % m
+        scale = pow(-pivot, -1, m)
+        tail = [y * scale % m for y in rows[k][1:]]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[0] % m
+            rows[i] = [x + f * y for x, y in zip(row[1:], tail)] if f else row[1:]
+    return det % m
+
+
+def _modular_det_coeffs(entries, lows, degree, m):
+    """The coefficients of det(t**-lo_i * row_i), lifted into (-m/2, m/2).
+
+    Evaluates the shifted entries at x = 0..degree mod m, takes each
+    determinant by elimination, Newton-interpolates and lifts
+    symmetrically.  Exact when ``degree`` bounds the degree and m
+    exceeds twice every coefficient; raises ValueError when a pivot or
+    an interpolation denominator is not a unit mod m."""
+    points = range(degree + 1)
+    values = {}
+    grid = []
+    for row, lo in zip(entries, lows):
+        cells = []
+        for e in row:
+            key = (e.min_deg - lo, e.coeffs) if e.coeffs else (0, ())
+            v = values.get(key)
+            if v is None:
+                offset, coeffs = key
+                v = []
+                for x in points:
+                    acc = 0
+                    for c in reversed(coeffs):
+                        acc = (acc * x + c) % m
+                    v.append(acc * pow(x, offset, m) % m if offset else acc)
+                values[key] = v
+            cells.append(v)
+        grid.append(cells)
+    c = [_eliminated_det([[v[x] for v in cells] for cells in grid], m) for x in points]
+    # divided differences over the points 0..degree divide only by 1..degree
+    for j in range(1, degree + 1):
+        inv = pow(j, -1, m)
+        c[j:] = [(a - b) * inv % m for a, b in zip(c[j:], c[j - 1 : -1])]
+    # Newton form to monomials: p = c_0 + x*(c_1 + (x-1)*(c_2 + ...))
+    poly = [c[degree]]
+    for j in range(degree - 1, -1, -1):
+        poly = (
+            [(c[j] - j * poly[0]) % m]
+            + [(a - j * b) % m for a, b in zip(poly, poly[1:])]
+            + [poly[-1]]
+        )
+    half = m // 2
+    return [a - m if a > half else a for a in poly]
+
+
+def _modular_det(entries, lows, degree):
+    """det over Z[t^+-1] modulo one modulus m > max(2B, D): the first
+    base-2 strong probable prime there, or the next one after a non-unit."""
+    cap = _degree_cap()
+    if cap is not None and degree > cap:
+        raise DegreeLimitExceeded(
+            f"determinant degree bound {degree} exceeds TALEX_MAX_DEGREE={cap}"
+        )
+    m = max(2 * _coefficient_bound(entries), degree) + 1
+    while True:
+        while not _is_strong_probable_prime(m):
+            m += 1
+        try:
+            coeffs = _modular_det_coeffs(entries, lows, degree, m)
+        except ValueError:
+            m += 1
+            continue
+        return LaurentPoly(ZZ, sum(lows), coeffs)
 
 
 def companion_matrix(p):

@@ -40,6 +40,8 @@ def test_dihedral_and_binary_dihedral_totals_are_knot_invariants(knot):
     assert len({binary_dihedral_total(f, p) for f in forms}) == 1
 
 
-@pytest.mark.parametrize("alpha, beta, q, p", [(15, 4, 2, 3), (21, 8, 2, 7), (45, 7, 2, 5)])
+@pytest.mark.parametrize(
+    "alpha, beta, q, p", [(15, 4, 2, 3), (21, 8, 2, 7), (45, 7, 2, 5), (55, 12, 3, 5)]
+)
 def test_nqp_total_is_a_knot_invariant(alpha, beta, q, p):
     assert len({nqp_total(f, q, p) for f in schubert_forms(alpha, beta)}) == 1

@@ -15,7 +15,7 @@ from talex.laurent import (
     cyclotomic_poly,
     modp_unit_equal,
 )
-from talex.rings import ZZ, NonExactDivision, QuotientRing, RingMismatch
+from talex.rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
 
 coeff_lists = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12)
 offsets = st.integers(-6, 6)
@@ -143,6 +143,32 @@ def test_quotient_coeff_kronecker_mul():
             }
             slow = slow + LaurentPoly.from_dict(row, ring)
         assert a * b == slow
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_gfp_kronecker_mul_matches_schoolbook(p):
+    # above the schoolbook cutoff GF(p) products pack the residues as
+    # integers; the reference multiplies residue by residue
+    gf = GFp(p)
+    rng = random.Random(p)
+
+    def rand(span):
+        return LaurentPoly(
+            gf, rng.randrange(-4, 5), [rng.randrange(p) for _ in range(span)]
+        )
+
+    for _ in range(25):
+        a, b = rand(rng.randrange(1, 40)), rand(rng.randrange(1, 40))
+        out = {}
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                k = a.min_deg + b.min_deg + i + j
+                out[k] = gf.add(out.get(k, 0), gf.mul(x, y))
+        assert a * b == LaurentPoly.from_dict(out, gf)
+    # zero results: a zero factor, and coefficients that cancel mod p
+    assert rand(30) * LaurentPoly.zero(gf) == LaurentPoly.zero(gf)
+    ones = LaurentPoly(gf, 0, [1] * 30)
+    assert ones * LaurentPoly(gf, 0, [1, p - 1]) == LaurentPoly(gf, 0, [1] + [0] * 29 + [p - 1])
 
 
 def test_canonical_normalization():

@@ -1,17 +1,23 @@
-"""Exact matrix arithmetic: companion matrices, Bareiss determinants,
-the gamma substitution, and companion-based cyclic products."""
+"""Exact matrix arithmetic: companion matrices, Bareiss and modular
+determinants, the gamma substitution, and companion-based cyclic
+products."""
 
 import random
 
 import pytest
 import sympy
 
-from conftest import P, Pstep, random_poly
-from talex.laurent import LaurentPoly, cyclotomic_poly
+from conftest import P, Pstep, prod, random_poly
+from talex import matrices
+from talex.laurent import DegreeLimitExceeded, LaurentPoly, cyclotomic_poly
 from talex.matrices import (
     PolyRing,
     RingMatrix,
     ZZ_POLY,
+    _coefficient_bound,
+    _modular_det,
+    _modular_det_coeffs,
+    _row_shape,
     companion_matrix,
     cyclic_product,
     gamma_substitute,
@@ -121,6 +127,180 @@ def test_bareiss_matches_sympy_integer():
         rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
         ours = RingMatrix.from_int_rows(rows).det()
         assert ours == int(sympy.Matrix(rows).det())
+
+
+def poly_matrix(rng, n, max_deg=3, max_coef=9, density=1.0):
+    """A seeded n x n matrix over Z[t^+-1]; each row is shifted by t^-3..t^3,
+    so row minima are negative, zero and positive."""
+    rows = []
+    for _ in range(n):
+        shift = rng.randrange(-3, 4)
+        rows.append(
+            [
+                random_poly(rng, max_deg=max_deg, max_coef=max_coef).shift(shift)
+                if rng.random() < density
+                else LaurentPoly.zero()
+                for _ in range(n)
+            ]
+        )
+    return RingMatrix(ZZ_POLY, rows)
+
+
+def modular(M):
+    """The modular route on M, whatever the size rule would pick."""
+    shape = _row_shape(M.entries)
+    if shape is None:
+        return LaurentPoly.zero()
+    lows, degree, _ = shape
+    return _modular_det(M.entries, lows, degree)
+
+
+def test_modular_det_matches_cofactor_small():
+    rng = random.Random(11)
+    for _ in range(60):
+        M = poly_matrix(rng, rng.randrange(1, 6), density=rng.choice([0.5, 1.0]))
+        assert modular(M) == det_cofactor(M)
+
+
+def test_modular_det_matches_bareiss():
+    rng = random.Random(12)
+    for _ in range(12):
+        M = poly_matrix(rng, rng.randrange(6, 13), density=rng.choice([0.3, 0.7, 1.0]))
+        assert modular(M) == M.det() == M._bareiss()
+
+
+def test_modular_det_bounds_hold():
+    rng = random.Random(13)
+    for _ in range(30):
+        M = poly_matrix(rng, rng.randrange(1, 7))
+        lows, degree, _ = _row_shape(M.entries)
+        d = M._bareiss()
+        if not d.is_zero:
+            assert d.min_deg >= sum(lows) and d.degree <= sum(lows) + degree
+            assert max(map(abs, d.coeffs)) <= _coefficient_bound(M.entries)
+
+
+def test_modular_det_zero_rows_and_columns():
+    rng = random.Random(14)
+    z = LaurentPoly.zero()
+    for n in (4, 9):
+        M = poly_matrix(rng, n)
+        rows = [list(r) for r in M.entries]
+        rows[n // 2] = [z] * n
+        with_zero_row = RingMatrix(ZZ_POLY, rows)
+        assert with_zero_row.det() == modular(with_zero_row) == z
+        cols = RingMatrix(ZZ_POLY, [r[:1] + (z,) + r[2:] for r in M.entries])
+        assert modular(cols) == cols._bareiss() == z
+
+
+def test_modular_det_singular():
+    rng = random.Random(15)
+    for n in (4, 8, 10):
+        M = poly_matrix(rng, n, max_deg=2)
+        rows = [list(r) for r in M.entries]
+        a, b = random_poly(rng, max_deg=2), random_poly(rng, max_deg=2)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        S = RingMatrix(ZZ_POLY, rows)
+        assert S.det() == modular(S) == S._bareiss() == LaurentPoly.zero()
+
+
+def test_modular_det_vanishing_at_many_points():
+    # row i carries (t - 3i)(t - 3i - 1)(t - 3i - 2), so the determinant
+    # is zero at x = 1..3n-1, most of the evaluation points
+    rng = random.Random(16)
+    for n in (3, 5, 9):
+        M = poly_matrix(rng, n, max_deg=1, max_coef=3)
+        rows = []
+        for i, row in enumerate(M.entries):
+            w = prod([P(-j, 1) for j in range(3 * i, 3 * i + 3)])
+            rows.append([w * e for e in row])
+        V = RingMatrix(ZZ_POLY, rows)
+        d = modular(V)
+        assert d == V._bareiss()
+        if n <= 5:
+            assert d == det_cofactor(V)
+        assert d.is_zero or all(d.shift(-d.min_deg).eval_int(x) == 0 for x in range(1, 3 * n))
+
+
+@pytest.mark.parametrize("bits, n", [(40, 5), (44, 8)])
+def test_modular_det_large_coefficients(bits, n):
+    rng = random.Random(bits)
+    M = poly_matrix(rng, n, max_deg=2, max_coef=1 << bits)
+    bound = _coefficient_bound(M.entries)
+    assert bound > 1 << 128 and (n < 8 or bound > 1 << 256)
+    d = modular(M)
+    assert d == M._bareiss()
+    if n <= 5:
+        assert d == det_cofactor(M)
+
+
+def test_modular_det_composite_modulus_is_never_wrong():
+    # exactness does not rest on m being prime: a non-unit pivot or
+    # interpolation denominator raises ValueError, and any value returned
+    # is the determinant
+    rng = random.Random(17)
+    q, r = 1009, (1 << 61) - 1  # primes; q exceeds every degree bound here
+    for n in (4, 8):
+        M = poly_matrix(rng, n, max_deg=2, max_coef=5)
+        rows = [list(row) for row in M.entries]
+        rows[0][0] = LaurentPoly.const(q)  # the first pivot at every point
+        Q = RingMatrix(ZZ_POLY, rows)
+        for A in (M, Q):
+            lows, degree, _ = _row_shape(A.entries)
+            assert degree < q and 2 * _coefficient_bound(A.entries) < r
+            want = A._bareiss()
+            for m in (q * r, 2 * r, r**2, (2**31 - 1) * r, 3 * 5 * 7 * r):
+                try:
+                    coeffs = _modular_det_coeffs(A.entries, lows, degree, m)
+                except ValueError:
+                    continue
+                assert LaurentPoly(ZZ, sum(lows), coeffs) == want
+        with pytest.raises(ValueError):  # the pivot q is not a unit mod q*r
+            _modular_det_coeffs(Q.entries, *_row_shape(Q.entries)[:2], q * r)
+        with pytest.raises(ValueError):  # nor is the denominator 2 mod 2*r
+            _modular_det_coeffs(M.entries, *_row_shape(M.entries)[:2], 2 * r)
+        # a composite modulus without small factors gives the determinant
+        lows, degree, _ = _row_shape(M.entries)
+        coeffs = _modular_det_coeffs(M.entries, lows, degree, (2**31 - 1) * r)
+        assert LaurentPoly(ZZ, sum(lows), coeffs) == M._bareiss()
+
+
+def test_modular_det_degree_guard(monkeypatch):
+    rng = random.Random(18)
+    M = poly_matrix(rng, 30, max_deg=1, max_coef=3)
+    lows, degree, nonzero = _row_shape(M.entries)
+    assert nonzero >= 2 * degree  # det() takes the modular route
+
+    def evaluate(*args):
+        raise AssertionError("evaluated past the degree guard")
+
+    monkeypatch.setattr(matrices, "_modular_det_coeffs", evaluate)
+    monkeypatch.setenv("TALEX_MAX_DEGREE", str(degree - 1))
+    with pytest.raises(DegreeLimitExceeded):
+        M.det()
+
+
+def test_det_size_rule(monkeypatch):
+    # the modular route takes the dense Fox-shaped matrices from 8x8 on,
+    # Bareiss the small and the sparse high-degree ones
+    calls = []
+    route = matrices._modular_det
+    monkeypatch.setattr(
+        matrices, "_modular_det", lambda *a: calls.append(a) or route(*a)
+    )
+    rng = random.Random(19)
+    dense = poly_matrix(rng, 10, max_deg=1)
+    assert dense.det() == dense._bareiss() and len(calls) == 1
+    small = poly_matrix(rng, 7, max_deg=1)
+    assert small.det() == small._bareiss() and len(calls) == 1
+    sparse = RingMatrix(
+        ZZ_POLY,
+        [
+            [Pstep(7, 1, 1) if j in (i, (i + 1) % 9) else LaurentPoly.zero() for j in range(9)]
+            for i in range(9)
+        ],
+    )
+    assert sparse.det() == sparse._bareiss() and len(calls) == 1
 
 
 def test_inverse_permutation_and_unimodular():

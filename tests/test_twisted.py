@@ -1,8 +1,14 @@
 """The Wada pipeline: quotients, totals, cross-identities, mod-p."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import talex
 
 from conftest import P, Pstep, prod
 from talex.knots import TwoBridgeFraction, alexander, presentation, presentation_8_5, random_fraction
@@ -216,6 +222,20 @@ def test_8_5_nqp_direct_56x56_matches_tensor_factorization():
     z4 = LaurentPoly.from_int_coeffs([-1, 0, 0, 0, 1])
     assert cyclic_product(perm, z4).canonical() == direct
     assert direct.degree == 140
+
+
+def test_nqp_total_19_85_loads_neither_numpy_nor_sympy():
+    # the 30x30 modular determinant is pure Python: a fresh interpreter
+    # computes the N(3,5) golden without importing numpy or sympy
+    code = """
+import sys, talex
+from talex.verify import NQP_GOLDENS
+got = talex.nqp_total(talex.TwoBridgeFraction(85, 19), 3, 5)
+assert got == NQP_GOLDENS[((85, 19), 3, 5)].canonical(), got
+assert "numpy" not in sys.modules and "sympy" not in sys.modules
+"""
+    path = os.pathsep.join([str(Path(talex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_larger_prime_routes_agree():
