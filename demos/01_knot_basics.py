@@ -5,7 +5,6 @@ Run: python demos/01_knot_basics.py
 """
 
 from talex import (
-    ContinuedFraction,
     TwoBridgeFraction,
     alexander,
     cf_eval,
@@ -39,11 +38,11 @@ print()
 print("=" * 64)
 print("Membership in H(p): continued fractions alternating p*k and 2m")
 print("=" * 64)
-for pair, p in [((27, 5), 3), ((85, 19), 5), ((115, 21), 5), ((9, 4), 3)]:
+knots = [((27, 5), 3), ((85, 19), 5), ((115, 21), 5), ((329, 328), 7), ((9, 4), 3)]
+for pair, p in knots:
     f = TwoBridgeFraction(*pair)
-    verdict = hp_expansion(f, p)
-    entries = getattr(verdict, "entries", None)
-    if entries:
-        print(f"K({f}) in H({p}): {list(entries)} ->", cf_eval(ContinuedFraction(entries)))
+    cf = hp_expansion(f, p)
+    if cf is not None:
+        print(f"K({f}) in H({p}): {list(cf.entries)} ->", cf_eval(cf))
     else:
-        print(f"K({f}) in H({p})? inconclusive within the default bounds")
+        print(f"K({f}): no H({p}) expansion in any Schubert form")

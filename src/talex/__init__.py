@@ -18,7 +18,6 @@ from .words import (
 )
 from .knots import (
     ContinuedFraction,
-    NotFoundWithinBounds,
     Presentation,
     TwoBridgeFraction,
     alexander,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from .factorization import (
     CertificateFailure,
@@ -18,7 +19,6 @@ from .factorization import (
     conjecture_report,
 )
 from .knots import (
-    NotFoundWithinBounds,
     PRESETS,
     TwoBridgeFraction,
     alexander,
@@ -26,7 +26,7 @@ from .knots import (
     presentation,
 )
 from .laurent import DegreeLimitExceeded, LaurentPoly
-from .representations import NoValidAssignment
+from .representations import NoValidAssignment, is_prime
 from .rings import NonExactDivision
 from .twisted import (
     CrossCheckMismatch,
@@ -73,6 +73,20 @@ def _emit(payload, fmt):
 def cmd_alexander(args):
     f = _parse_fraction(args.fraction)
     return {"alexander": _poly_out(alexander(presentation(f)))}
+
+
+def _check_group_orders(args):
+    """The -p and -q preconditions shared by every subcommand that takes
+    them: p an odd prime, q >= 1, and gcd(q, p) = 1 for --rep max."""
+    p, q = getattr(args, "p", None), getattr(args, "q", None)
+    if p is not None and (p % 2 == 0 or not is_prime(p)):
+        raise CliError(f"p={p} is not an odd prime", PRECONDITION_ERROR)
+    if q is not None and q < 1:
+        raise CliError(f"q={q} must be >= 1", PRECONDITION_ERROR)
+    if q is not None and args.rep == "max" and gcd(q, p) != 1:
+        raise CliError(
+            f"--rep max needs gcd(q, p) = 1, got q={q}, p={p}", PRECONDITION_ERROR
+        )
 
 
 def _check_divides(f, p):
@@ -140,13 +154,10 @@ def cmd_kmeta(args):
 
 
 def cmd_hp_test(args):
-    f = _parse_fraction(args.fraction)
-    result = hp_expansion(
-        f, args.p, max_k=args.max_k, max_m=args.max_m, max_len=args.max_len
-    )
-    if isinstance(result, NotFoundWithinBounds):
-        return {"hp": "inconclusive", "cf": None}
-    return {"hp": "yes", "cf": list(result.entries)}
+    cf = hp_expansion(_parse_fraction(args.fraction), args.p)
+    if cf is None:
+        return {"hp": "no", "cf": None}
+    return {"hp": "yes", "cf": list(cf.entries)}
 
 
 def cmd_verify(args):
@@ -227,12 +238,13 @@ def build_parser():
     p_km.add_argument("-k", type=int, required=True)
     p_km.set_defaults(fn=cmd_kmeta)
 
-    p_hp = add_parser("hp-test", help="bounded search for the H(p) expansion")
+    p_hp = add_parser(
+        "hp-test",
+        help="the H(p) expansion [p*k1, 2*m1, ..., p*k_{l+1}] of any "
+        "Schubert form, or none",
+    )
     p_hp.add_argument("fraction")
     p_hp.add_argument("-p", type=int, required=True)
-    p_hp.add_argument("--max-k", type=int, default=4)
-    p_hp.add_argument("--max-m", type=int, default=8)
-    p_hp.add_argument("--max-len", type=int, default=7)
     p_hp.set_defaults(fn=cmd_hp_test)
 
     p_v = add_parser("verify", help="run a verification suite")
@@ -251,6 +263,7 @@ def main(argv=None):
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
+        _check_group_orders(args)
         result = args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .intfactor import int_poly_factor
-from .knots import NotFoundWithinBounds, alexander, hp_expansion, presentation
+from .knots import alexander, hp_expansion, presentation
 from .laurent import LaurentPoly, modp_unit_equal, gf_exact_div
 from .matrices import PolyRing, RingMatrix, ZZ_POLY, gamma_substitute
 from .representations import (
@@ -316,9 +316,10 @@ def torus_q_probe(p, q=None):
 
 def conjecture_report(f, p):
     """The full per-knot report: constructive factorization (with the
-    integer-factorization fallback), H(p) search verdict, mod-p
-    congruences, and the torus-part probe.  D(t), Delta(t) and the torus
-    factor are computed once and shared by all of them."""
+    integer-factorization fallback), the H(p) verdict ("yes" with an
+    expansion, "no" when no Schubert form has one), mod-p congruences,
+    and the torus-part probe.  D(t), Delta(t) and the torus factor are
+    computed once and shared by all of them."""
     D = dihedral_total(f, p)
     delta = alexander(presentation(f))
     q_torus = _split_determinant(torus_gh(p), p)
@@ -333,8 +334,7 @@ def conjecture_report(f, p):
         fallback = factor_pairing(D)
         if fallback is not None:
             F = fallback
-    verdict = hp_expansion(f, p)
-    hp = "inconclusive" if isinstance(verdict, NotFoundWithinBounds) else "yes"
+    hp = "no" if hp_expansion(f, p) is None else "yes"
     modp = modp_congruence(f, p, D=D, delta=delta).congruence_holds
     modp_f = None
     if F is not None:

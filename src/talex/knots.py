@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .representations import trivial_rep
+from .representations import is_prime, trivial_rep
 from .words import FreeWord, fox_derivative
 
 
@@ -128,49 +128,39 @@ def cf_eval(cf):
     return value
 
 
-@dataclass(frozen=True)
-class NotFoundWithinBounds:
-    """hp_expansion is a semi-decision: absence of a result within the
-    search bounds is inconclusive, not a negative certificate."""
-
-    fraction: TwoBridgeFraction
-    p: int
-
-    def __bool__(self):
-        return False
-
-
-def hp_expansion(f, p, max_k=4, max_m=8, max_len=7):
-    """Search for a continued fraction [p*k1, 2*m1, ..., p*k_{l+1}]
-    evaluating to beta/alpha, certifying membership in H(p).
+def hp_expansion(f, p):
+    """A continued fraction [p*k1, 2*m1, ..., p*k_{l+1}] evaluating to one
+    of the Schubert forms beta/alpha, (beta - alpha)/alpha, beta*/alpha,
+    (beta* - alpha)/alpha (beta* = beta^-1 mod alpha), which certifies
+    membership in H(p); None when no Schubert form has such an expansion.
+    The mirror forms need no search: negating every entry keeps the
+    pattern.
 
     Depth-first with exact tails: choosing a leading entry a turns the
     target r into 1/r - a, and since every admissible entry has
-    absolute value >= 2, any genuine tail value lies in [-1, 1]; that
-    window prunes the branching to a handful of entries per level.
+    absolute value >= 2, any genuine tail value lies in [-1, 1].  That
+    window admits at most one multiple of p, and two even entries only
+    when the tail is +-1, a branch that dies one level down.  Prepending
+    an entry to a tail of absolute value < 1 strictly raises the
+    denominator, so the search ends at depth below alpha and is
+    exhaustive.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
-    target = f.as_fraction()
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
     def entries_at(pos, r):
         # admissible entries a with |1/r - a| <= 1
         center = Fraction(1) / r
-        lo, hi = center - 1, center + 1
         step = p if pos % 2 == 0 else 2
-        bound = max_k if pos % 2 == 0 else max_m
-        start = (lo / step).__ceil__()
+        m = ((center - 1) / step).__ceil__()
         out = []
-        m = start
-        while Fraction(m * step) <= hi:
-            if m != 0 and abs(m) <= bound:
+        while m * step <= center + 1:
+            if m != 0:
                 out.append(m * step)
             m += 1
         return out
 
     def dfs(pos, r, acc):
-        if pos >= max_len:
-            return None
         for a in entries_at(pos, r):
             tail = Fraction(1) / r - a
             if pos % 2 == 0 and tail == 0:
@@ -182,12 +172,14 @@ def hp_expansion(f, p, max_k=4, max_m=8, max_len=7):
                 return found
         return None
 
-    found = dfs(0, target, [])
-    if found is None:
-        return NotFoundWithinBounds(f, p)
-    cf = ContinuedFraction(tuple(found))
-    assert cf_eval(cf) == target
-    return cf
+    inv = pow(f.beta, -1, f.alpha)
+    for b in (f.beta, f.beta - f.alpha, inv, inv - f.alpha):
+        found = dfs(0, Fraction(b, f.alpha), [])
+        if found is not None:
+            cf = ContinuedFraction(tuple(found))
+            assert cf_eval(cf) == Fraction(b, f.alpha)
+            return cf
+    return None
 
 
 def alexander(pres):

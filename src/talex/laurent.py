@@ -314,12 +314,6 @@ class LaurentPoly:
                 out.append(c)
         return LaurentPoly(ring, self.min_deg, out, _trusted=True)
 
-    def reverse_t(self):
-        """The substitution t -> 1/t."""
-        return LaurentPoly(
-            self.ring, -self.degree, tuple(reversed(self.coeffs)), _trusted=True
-        )
-
     def eval_int(self, x):
         """Evaluate at an integer (ZZ coefficients, nonnegative min_deg)."""
         if self.ring is not ZZ:
@@ -426,10 +420,6 @@ class LaurentPoly:
         if self.ring.is_negative(p.coeffs[0]):
             return -p
         return p
-
-    def unit_equal(self, other):
-        """Equality up to +-t**k."""
-        return self.canonical() == other.canonical()
 
     # -- presentation ------------------------------------------------
 

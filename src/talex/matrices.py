@@ -114,10 +114,6 @@ class RingMatrix:
         return cls(ring, [[z] * cols for _ in range(rows)])
 
     @classmethod
-    def from_int_rows(cls, rows, ring=ZZ):
-        return cls(ring, [[ring.from_int(c) for c in row] for row in rows])
-
-    @classmethod
     def block(cls, blocks):
         """Assemble from a 2D grid of conformal RingMatrix blocks."""
         ring = blocks[0][0].ring

@@ -84,6 +84,31 @@ def test_hp_test(capsys):
     assert payload == {"hp": "yes", "cf": [5, -2, 10]}
 
 
+def test_hp_test_no_expansion(capsys):
+    code, out, _ = run(capsys, "hp-test", "4/9", "-p", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"hp": "no", "cf": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dihedral", "1/9", "-p", "9"],
+        ["binary-dihedral", "1/9", "-p", "9"],
+        ["hp-test", "1/3", "-p", "4"],
+        ["hp-test", "1/9", "-p", "9"],
+        ["metacyclic", "1/3", "-p", "3", "-q", "3", "--rep", "max"],
+        ["metacyclic", "1/9", "-p", "3", "-q", "0"],
+        ["kmeta", "1/9", "-p", "9", "-k", "2"],
+    ],
+)
+def test_invalid_p_or_q_is_a_precondition_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
 def test_exit_codes(capsys):
     # 1: usage, 2: precondition, 0: success
     assert run(capsys, "nonsense")[0] == 1
@@ -100,7 +125,7 @@ def test_factor_off_hp_exits_zero(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["hp"] == "inconclusive"
+    assert payload["hp"] == "no"
     assert payload["modp"] is True
 
 
@@ -108,6 +133,30 @@ def test_verify_census_smoke(capsys):
     code, out, _ = run(capsys, "verify", "census", "--seed", "3", "--max-n", "6")
     assert code == 0
     assert "checks passed" in out
+
+
+def test_verify_census_fails_a_knot_with_an_expansion_that_does_not_split(
+    capsys, monkeypatch
+):
+    # at the default seed, 5/33 at p=3 has an H(3) expansion, so the
+    # paper's theorem makes its factorization item a hard check; 53/57
+    # at p=3 has none and stays a finding
+    from talex import verify
+    from talex.factorization import NotSplit
+
+    def two_samples(**kw):
+        keep = (" for 5/33 p=3", " for 53/57 p=3")
+        return [i for i in verify.census_suite() if i.name.endswith(keep)]
+
+    def not_split(f, p, **kw):
+        raise NotSplit("injected")
+
+    monkeypatch.setattr("talex.cli.SUITES", dict(verify.SUITES, census=two_samples))
+    monkeypatch.setattr(verify, "f_polynomial", not_split)
+    code, out, _ = run(capsys, "verify", "census")
+    assert code == 1
+    assert "FAIL     factorization finding for 5/33 p=3" in out
+    assert "REPORT+  factorization finding for 53/57 p=3" in out
 
 
 def census_knots(capsys, *argv):

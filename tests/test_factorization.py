@@ -99,7 +99,7 @@ def test_torus_gh_small_p():
     assert form.H == LaurentPoly.from_dict({1: ring.one}, ring)
     q = _split_determinant(form, 3)
     assert (q * q.negate_t()).canonical() == P(1, 0, -1)
-    assert q.unit_equal(P(1, -1))
+    assert q.canonical() == P(1, -1).canonical()
 
 
 def test_torus_gh_p5_matches_total():
@@ -159,7 +159,8 @@ def test_f_polynomial_certificate_matches_total():
 def test_factor_pairing_examples():
     paired = factor_pairing(P(1, 0, -1))
     # 1+t up to the inherent t -> -t swap (the lex-min rule picks 1-t)
-    assert paired.unit_equal(P(1, 1)) or paired.negate_t().unit_equal(P(1, 1))
+    want_pair = P(1, 1).canonical()
+    assert want_pair in (paired.canonical(), paired.negate_t().canonical())
     d = prod([P(1, 0, -1), Pstep(3, 1, -1, 1), Pstep(3, 1, 1, 1)])
     f = factor_pairing(d)
     want = prod([P(1, 1), Pstep(3, 1, 1, 1)]).canonical()
@@ -187,19 +188,33 @@ def test_gamma_images_commute_with_v():
     assert not val.is_zero
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_f_polynomial_certifies_every_knot_with_an_expansion(p):
+    # the paper's theorem on every knot in H(p) with alpha <= 120, for
+    # one fraction per knot up to mirror image
+    from hp_oracle import knots_with_expansion
+
+    knots = {}
+    for alpha, beta in knots_with_expansion(p, 120)[0]:
+        inv = pow(beta, -1, alpha)
+        knots.setdefault((alpha, min(beta, alpha - beta, inv, alpha - inv)), beta)
+    for (alpha, _), beta in knots.items():
+        assert f_polynomial(F(alpha, beta), p).verify()
+
+
 def test_reports_off_hp_membership():
-    # K(4/9) has no H(3) expansion (the window prune is exhaustive
-    # there), yet the factorization route empirically still certifies --
-    # the theorem only covers H(p), so both outcomes are findings.
-    # Whatever the split verdict, the mod-p congruence must hold and
-    # be internally consistent.
-    from talex.knots import hp_expansion, NotFoundWithinBounds
+    # K(4/9) has no H(3) expansion in any Schubert form, yet the
+    # factorization route empirically still certifies -- the theorem
+    # only covers H(p), so both outcomes are findings.  Whatever the
+    # split verdict, the mod-p congruence must hold and be internally
+    # consistent.
+    from talex.knots import hp_expansion
 
     for pair in [(9, 4), (15, 4), (21, 8)]:
         f = F(*pair)
-        assert isinstance(hp_expansion(f, 3), NotFoundWithinBounds)
+        assert hp_expansion(f, 3) is None
         report = conjecture_report(f, 3)
-        assert report.hp == "inconclusive"
+        assert report.hp == "no"
         assert report.modp  # the congruence holds regardless of the factorization
         if report.split:
             assert (report.F * report.F.negate_t()).canonical() == report.D

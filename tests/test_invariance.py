@@ -1,4 +1,5 @@
-"""Knot invariance: Schubert-equivalent fractions give the same totals.
+"""Knot invariance: Schubert-equivalent fractions give the same totals
+and the same H(p) verdict.
 
 beta/alpha, beta^-1/alpha, (alpha-beta)/alpha and (alpha-beta^-1)/alpha
 present the same 2-bridge knot or its mirror image, whose totals agree
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talex.knots import TwoBridgeFraction
+from talex.knots import TwoBridgeFraction, hp_expansion
 from talex.twisted import binary_dihedral_total, dihedral_total, nqp_total
 
 
@@ -38,6 +39,7 @@ def test_dihedral_and_binary_dihedral_totals_are_knot_invariants(knot):
     forms = schubert_forms(alpha, beta)
     assert len({dihedral_total(f, p) for f in forms}) == 1
     assert len({binary_dihedral_total(f, p) for f in forms}) == 1
+    assert len({hp_expansion(f, p) is None for f in forms}) == 1
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import P, prod
+from hp_oracle import knots_with_expansion
 from talex.knots import (
     ContinuedFraction,
-    NotFoundWithinBounds,
     TwoBridgeFraction,
     alexander,
     cf_eval,
@@ -78,13 +78,31 @@ def test_hp_expansion_goldens():
     assert hp_expansion(TwoBridgeFraction(9, 1), 3).entries == (9,)
     assert hp_expansion(TwoBridgeFraction(27, 5), 3).entries == (6, -2, 3)
     assert hp_expansion(TwoBridgeFraction(85, 19), 5).entries == (5, -2, 10)
+    # 328/329 expands only in the form (beta - alpha)/alpha = -1/329;
+    # 7/375 needs the large leading entry 3 * 18
+    assert hp_expansion(TwoBridgeFraction(329, 328), 7).entries == (-329,)
+    assert hp_expansion(TwoBridgeFraction(375, 7), 3).entries == (54, -2, -3)
 
 
-def test_hp_expansion_is_semi_decision():
-    # K(1/5) is not in H(3): 3 does not divide det = 5
-    verdict = hp_expansion(TwoBridgeFraction(5, 1), 3)
-    assert isinstance(verdict, NotFoundWithinBounds)
-    assert not verdict
+def test_hp_expansion_decides_no_expansion():
+    # K(1/5) has no H(3) expansion: 3 does not divide det = 5
+    assert hp_expansion(TwoBridgeFraction(5, 1), 3) is None
+    assert hp_expansion(TwoBridgeFraction(9, 4), 3) is None
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
+def test_hp_expansion_rejects_p_that_is_not_an_odd_prime(p):
+    with pytest.raises(ValueError):
+        hp_expansion(TwoBridgeFraction(45, 2), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hp_expansion_matches_brute_force_oracle(p):
+    # exhaustive over every knot with p | alpha <= 120
+    yes, no = knots_with_expansion(p, 120)
+    assert [k for k in yes if hp_expansion(TwoBridgeFraction(*k), p) is None] == []
+    assert [k for k in no if hp_expansion(TwoBridgeFraction(*k), p) is not None] == []
+    assert yes
 
 
 def test_hp_expansion_shape_and_roundtrip(rng):
@@ -93,10 +111,12 @@ def test_hp_expansion_shape_and_roundtrip(rng):
         p = rng.choice([3, 5])
         f = random_fraction(rng, p=p, max_alpha=120)
         cf = hp_expansion(f, p)
-        if isinstance(cf, NotFoundWithinBounds):
+        if cf is None:
             continue
         found += 1
-        assert cf_eval(cf) == f.as_fraction()
+        inv = pow(f.beta, -1, f.alpha)
+        forms = {Fraction(b, f.alpha) for b in (f.beta, f.beta - f.alpha, inv, inv - f.alpha)}
+        assert cf_eval(cf) in forms
         entries = cf.entries
         assert len(entries) % 2 == 1
         assert all(e % p == 0 and e != 0 for e in entries[0::2])
@@ -133,6 +153,7 @@ def test_alexander_invariants_random(rng):
         f = random_fraction(rng, max_alpha=160)
         delta = alexander(presentation(f))
         assert delta.eval_int(1) in (1, -1)
-        assert delta.unit_equal(delta.reverse_t())
+        coeffs = delta.canonical().coeffs
+        assert coeffs == coeffs[::-1]
         assert abs(delta.eval_int(-1)) == f.alpha
 
