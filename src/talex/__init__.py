@@ -60,6 +60,7 @@ from .factorization import (
     factor_pairing,
     split_check,
     torus_gh,
+    total_pairing,
 )
 from .intfactor import int_poly_factor
 

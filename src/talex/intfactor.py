@@ -1,10 +1,14 @@
-"""Integer polynomial factorization behind the fallback pairing route.
+"""Integer polynomial factorization behind the last-resort pairing route.
 
-The factorization itself (squarefree split, modular factorization,
-Hensel lifting, recombination) is delegated to sympy's univariate
-machinery; this module owns the contract: content times irreducible
-primitive factors with multiplicity, reproducing the input exactly.
-sympy is imported on first use, so ``import talex`` does not load it.
+``factorization.total_pairing`` first Hensel-lifts the paper's mod-p
+factor of D(t); it comes here only when that lift does not apply (the
+mod-p factor and its t -> -t image share a factor, or p divides the
+leading coefficient) or its candidate fails the certificate.  The
+factorization itself (squarefree split, modular factorization, Hensel
+lifting, recombination) is delegated to sympy's univariate machinery;
+this module owns the contract: content times irreducible primitive
+factors with multiplicity, reproducing the input exactly.  sympy is
+imported on first use, so ``import talex`` does not load it.
 """
 
 from __future__ import annotations

@@ -497,6 +497,61 @@ def gf_exact_div(num, den):
     return q
 
 
+def gf_xgcd(a, b):
+    """(s, t) with s*a + t*b = 1 in (Z/p)[t], deg s < deg b and
+    deg t < deg a; ValueError when a and b are not coprime.
+
+    a and b are read as ordinary polynomials (nonnegative exponents),
+    so a power of t is a common factor like any other."""
+    gf = a.ring
+    if gf != b.ring or not isinstance(gf, GFp):
+        raise RingMismatch("gf_xgcd needs two polynomials over one GF(p)")
+    if a.min_deg < 0 or b.min_deg < 0:
+        raise ValueError("gf_xgcd needs polynomials, not Laurent polynomials")
+    p = gf.p
+
+    def dense(x):
+        return [0] * x.min_deg + list(x.coeffs)
+
+    def trim(x):
+        while x and x[-1] == 0:
+            x.pop()
+        return x
+
+    def sub_mul(x, q, y):
+        # x - q*y over GF(p)
+        out = x + [0] * max(0, len(q) + len(y) - 1 - len(x))
+        for i, c in enumerate(q):
+            if c:
+                for j, d in enumerate(y):
+                    out[i + j] = (out[i + j] - c * d) % p
+        return trim(out)
+
+    r0, r1 = trim(dense(a)), trim(dense(b))
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        inv = pow(r1[-1], p - 2, p)
+        q = [0] * max(0, len(r0) - len(r1) + 1)
+        rem = list(r0)
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[k + len(r1) - 1] * inv % p
+            q[k] = c
+            if c:
+                for j, d in enumerate(r1):
+                    rem[k + j] = (rem[k + j] - c * d) % p
+        r0, r1 = r1, trim(rem[: len(r1) - 1])
+        s0, s1 = s1, sub_mul(s0, q, s1)
+        t0, t1 = t1, sub_mul(t0, q, t1)
+    if len(r0) != 1:
+        raise ValueError("gf_xgcd: the polynomials are not coprime")
+    inv = pow(r0[0], p - 2, p)
+    return (
+        LaurentPoly(gf, 0, [c * inv % p for c in s0]),
+        LaurentPoly(gf, 0, [c * inv % p for c in t0]),
+    )
+
+
 def cyclotomic_poly(m):
     """The m-th cyclotomic polynomial over the integers.
 

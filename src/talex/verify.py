@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .factorization import (
     NotSplit,
     f_polynomial,
-    factor_pairing,
     split_check,
     torus_gh,
+    total_pairing,
 )
 from .knots import (
     TwoBridgeFraction,
@@ -789,7 +789,9 @@ def census_suite(seed=7, count=50):
                 return True
             except (NotSplit, NonExactDivision):
                 # without an expansion: record whether the fallback pairs it
-                return not proven and factor_pairing(D()) is not None
+                return not proven and (
+                    total_pairing(D(), p, alexander(presentation(f))) is not None
+                )
 
         return [
             Item(

@@ -1,6 +1,7 @@
 """Split polynomials and the constructive f(t)f(-t) factorization."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,11 @@ from talex.factorization import (
     NotSplit,
     SplitForm,
     _as_matrix,
+    _hensel_pairing,
+    _lex_min_rep,
+    _modp_factor,
     _split_determinant,
+    _torus_factor,
     conjecture_report,
     extract_GH,
     f_polynomial,
@@ -18,9 +23,11 @@ from talex.factorization import (
     torus_q_probe,
     split_check,
     torus_gh,
+    total_pairing,
 )
-from talex.knots import TwoBridgeFraction, alexander, presentation
-from talex.laurent import LaurentPoly
+from talex.intfactor import int_poly_factor
+from talex.knots import TwoBridgeFraction, alexander, presentation, random_fraction
+from talex.laurent import LaurentPoly, gf_xgcd, modp_unit_equal
 from talex.matrices import PolyRing, RingMatrix
 from talex.representations import dihedral_xi, omega_ring, v_matrix
 from talex.rings import NonExactDivision
@@ -311,3 +318,169 @@ def test_prop_4_3_probes():
     for p in (3, 5, 7, 11):
         for M in _split_probe_matrices(p):
             assert split_check(M) is not None
+
+
+# ---------------------------------------------------------------------------
+# the pairing route for knots whose constructive split fails
+# ---------------------------------------------------------------------------
+
+# the knots of the benchmark's census panel whose split fails and whose
+# mod-p factor u is coprime to u(-t): the lift alone pairs each of them
+COPRIME_PANEL = [
+    (405, 341, 5), (147, 43, 7), (7, 2, 7), (385, 64, 7), (203, 12, 7),
+    (105, 52, 7), (21, 10, 7), (345, 208, 5), (399, 176, 7), (259, 25, 7),
+    (161, 86, 7), (287, 222, 7), (295, 116, 5), (195, 32, 5), (155, 142, 5),
+    (175, 2, 5), (475, 202, 5),
+]
+
+
+def does_not_split(f, p):
+    try:
+        f_polynomial(f, p)
+    except (NotSplit, NonExactDivision):
+        return True
+    return False
+
+
+def congruent(F, u, p):
+    return modp_unit_equal(F.reduce_mod(p), u, p) or modp_unit_equal(
+        F.negate_t().reduce_mod(p), u, p
+    )
+
+
+def pair_classes(F):
+    """|content| and the irreducible factors of F, each read up to
+    t -> -t, with multiplicity."""
+    content, factors = int_poly_factor(F)
+    classes = Counter()
+    for q, m in factors:
+        classes[_lex_min_rep(q)] += m
+    return abs(content), classes
+
+
+@pytest.fixture
+def no_sympy(monkeypatch):
+    import talex.factorization
+
+    def refuse(poly):
+        raise AssertionError("the sympy pairing ran")
+
+    monkeypatch.setattr(talex.factorization, "int_poly_factor", refuse)
+
+
+def test_hensel_pairing_agrees_with_the_sympy_oracle():
+    rng = random.Random(2009)
+    lifted = 0
+    while lifted < 12:
+        p = rng.choice([3, 5, 7])
+        f = random_fraction(rng, p=p, max_alpha=300)
+        if not does_not_split(f, p):
+            continue
+        D = dihedral_total(f, p)
+        u = _modp_factor(alexander(presentation(f)), p)
+        F = _hensel_pairing(D, u)
+        if F is None:
+            # the lift declines only where its hypotheses fail
+            if D.canonical().coeffs[-1] % p:
+                with pytest.raises(ValueError):
+                    gf_xgcd(u, u.negate_t())
+            continue
+        lifted += 1
+        assert (F * F.negate_t()).canonical() == D.canonical()
+        assert congruent(F, u, p)
+        oracle = factor_pairing(D)
+        assert oracle is not None
+        assert pair_classes(F) == pair_classes(oracle)
+
+
+def test_coprime_panel_knots_pair_without_sympy(no_sympy):
+    for alpha, beta, p in COPRIME_PANEL:
+        report = conjecture_report(F(alpha, beta), p)
+        assert not report.split
+        assert report.F is not None, (alpha, beta, p)
+        assert (report.F * report.F.negate_t()).canonical() == report.D
+        assert report.modp_f
+
+
+def test_103_155_pairs_by_the_lift(no_sympy):
+    # a degree-204 D(t) whose sympy factorization took 6.5 s
+    report = conjecture_report(F(155, 103), 5)
+    assert not report.split
+    assert (report.F * report.F.negate_t()).canonical() == report.D
+    assert report.modp_f
+
+
+def test_sympy_pairing_is_oriented_by_the_modp_factor():
+    # on these knots the pairing that keeps each factor as sympy lists
+    # it is valid but fails the congruence; oriented by u it meets it
+    for pair, p in [((399, 176), 7), ((345, 208), 5)]:
+        D = dihedral_total(F(*pair), p)
+        u = _modp_factor(alexander(presentation(F(*pair))), p)
+        assert not congruent(factor_pairing(D), u, p)
+        oriented = factor_pairing(D, u)
+        assert (oriented * oriented.negate_t()).canonical() == D.canonical()
+        assert congruent(oriented, u, p)
+
+
+def test_lift_declines_and_sympy_pairs_when_u_is_not_coprime_to_its_mirror():
+    # 293/469 at p=7: u and u(-t) share factors mod 7, so the lift
+    # declines; the unoriented pairing is already congruent there, and
+    # the orientation keeps it (the first pair fixes u versus u(-t))
+    f, p = F(469, 293), 7
+    delta = alexander(presentation(f))
+    D = dihedral_total(f, p)
+    u = _modp_factor(delta, p)
+    with pytest.raises(ValueError):
+        gf_xgcd(u, u.negate_t())
+    assert _hensel_pairing(D, u) is None
+    unoriented = factor_pairing(D)
+    assert congruent(unoriented, u, p)
+    assert total_pairing(D, p, delta) == unoriented
+
+
+def test_forged_total_without_a_congruent_pairing(monkeypatch):
+    # D = G(t)G(-t) with G irreducible and neither G nor G(-t) congruent
+    # to the knot's mod-p factor: every pairing certifies, none is
+    # congruent, so modp_f must read False
+    import talex.factorization
+
+    f, p = F(7, 2), 7
+    u = _modp_factor(alexander(presentation(f)), p)
+    G = P(3, 1, 0, 1)  # t^3 + t + 3, irreducible over Z
+    assert not congruent(G, u, p)
+    forged = (G * G.negate_t()).canonical()
+    monkeypatch.setattr(talex.factorization, "dihedral_total", lambda f, p: forged)
+    report = conjecture_report(f, p)
+    assert report.D == forged and not report.split
+    assert report.F is not None
+    assert (report.F * report.F.negate_t()).canonical() == forged
+    assert report.modp_f is False
+
+
+def test_torus_factor_is_built_once_per_p(monkeypatch):
+    import talex.factorization
+
+    calls = []
+    build = talex.factorization.torus_gh
+    monkeypatch.setattr(
+        talex.factorization, "torus_gh", lambda p: calls.append(p) or build(p)
+    )
+    _torus_factor.cache_clear()
+    try:
+        for pair, p in [((85, 19), 5), ((7, 2), 7), ((9, 4), 3), ((45, 16), 5)]:
+            conjecture_report(F(*pair), p)
+        assert torus_q_probe(5) and torus_q_probe(7)
+    finally:
+        _torus_factor.cache_clear()
+    assert sorted(calls) == [3, 5, 7]
+
+
+def test_census_factorization_item_pairs_through_the_lift(no_sympy):
+    import talex.verify
+
+    name = "factorization finding for 47/91 p=7"
+    item = next(
+        it for it in talex.verify.census_suite(seed=7, count=3) if it.name == name
+    )
+    assert does_not_split(F(91, 47), 7)
+    assert item.run() is True

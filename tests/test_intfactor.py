@@ -80,3 +80,16 @@ assert talex.int_poly_factor(P([-1, 0, 1])) == (1, [(P([-1, 1]), 1), (P([1, 1]),
 """
     path = os.pathsep.join([str(Path(talex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_lifted_conjecture_report_leaves_sympy_unloaded():
+    # 341/405 at p=5 does not split; the Hensel lift pairs it, so the
+    # report never reaches the sympy factorization
+    code = """
+import sys, talex
+report = talex.conjecture_report(talex.TwoBridgeFraction(405, 341), 5)
+assert not report.split and report.F is not None and report.modp_f
+assert "sympy" not in sys.modules
+"""
+    path = os.pathsep.join([str(Path(talex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))

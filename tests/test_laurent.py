@@ -13,6 +13,7 @@ from talex.laurent import (
     DegreeLimitExceeded,
     LaurentPoly,
     cyclotomic_poly,
+    gf_xgcd,
     modp_unit_equal,
 )
 from talex.rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
@@ -215,3 +216,53 @@ def test_degree_guard(monkeypatch):
         Pstep(7, 1, 1) * Pstep(7, 1, 1)
     monkeypatch.delenv("TALEX_MAX_DEGREE")
     assert Pstep(7, 1, 1) * Pstep(7, 1, 1) == Pstep(7, 1, 2, 1)
+
+
+def _gf_coprime(a, b, p):
+    # the independent oracle: sympy's gcd over GF(p)
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        dense = [0] * f.min_deg + list(f.coeffs)
+        return sympy.Poly(dense[::-1], x, modulus=p)
+
+    return to_sympy(a).gcd(to_sympy(b)).degree() == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gf_xgcd_bezout_on_random_coprime_pairs(p):
+    rng = random.Random(p)
+    gf = GFp(p)
+
+    def rand():
+        deg = rng.randrange(0, 9)
+        coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+        return LaurentPoly(gf, 0, coeffs)
+
+    coprime = 0
+    while coprime < 30:
+        a, b = rand(), rand()
+        if not _gf_coprime(a, b, p):
+            with pytest.raises(ValueError):
+                gf_xgcd(a, b)
+            continue
+        coprime += 1
+        s, t = gf_xgcd(a, b)
+        assert s * a + t * b == LaurentPoly.one(gf)
+        assert s.is_zero or s.degree < max(b.degree, 1)
+        assert t.is_zero or t.degree < max(a.degree, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gf_xgcd_rejects_pairs_that_are_not_coprime(p):
+    rng = random.Random(10 + p)
+    gf = GFp(p)
+    for _ in range(10):
+        common = LaurentPoly(gf, 0, [rng.randrange(p), rng.randrange(1, p)])
+        a = common * LaurentPoly(gf, 0, [rng.randrange(1, p), 1, rng.randrange(p)])
+        b = common * LaurentPoly(gf, 0, [rng.randrange(p), rng.randrange(1, p)])
+        with pytest.raises(ValueError):
+            gf_xgcd(a, b)
+    # a power of t is a common factor of polynomials, not a unit
+    with pytest.raises(ValueError):
+        gf_xgcd(LaurentPoly(gf, 1, [1, 1]), LaurentPoly(gf, 2, [1]))
