@@ -137,6 +137,19 @@ def torus_gh(p):
     return form
 
 
+@lru_cache(maxsize=None)
+def _torus_image(p):
+    """(det B, adj B) for the Fox image B of the torus knot K(1/p)'s
+    relator under the xi rep, built once per p."""
+    pres = presentation(TwoBridgeFraction(p, 1))
+    B = rep_evaluate(fox_derivative(pres.relators[0], 0, dihedral_rep(pres, p, "xi")))
+    adj_b = RingMatrix(
+        B.ring,
+        [[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]],
+    )
+    return B.det(), adj_b
+
+
 def extract_GH(f, p):
     """Recover the split form of the extra factor of K(r) over K(1/p).
 
@@ -147,16 +160,8 @@ def extract_GH(f, p):
     if f.alpha % p != 0:
         raise ValueError(f"p={p} does not divide alpha={f.alpha}")
     pres = presentation(f)
-    torus_pres = presentation(TwoBridgeFraction(p, 1))
-    rep = dihedral_rep(pres, p, "xi")
-    torus_rep = dihedral_rep(torus_pres, p, "xi")
-    A = rep_evaluate(fox_derivative(pres.relators[0], 0, rep))
-    B = rep_evaluate(fox_derivative(torus_pres.relators[0], 0, torus_rep))
-    det_b = B.det()
-    adj_b = RingMatrix(
-        B.ring,
-        [[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]],
-    )
+    A = rep_evaluate(fox_derivative(pres.relators[0], 0, dihedral_rep(pres, p, "xi")))
+    det_b, adj_b = _torus_image(p)
     N = (A * adj_b).map_entries(lambda e: e.exact_div(det_b))
     # In this relator convention the torus knot itself gives N = identity
     # (G = 1, H = 0), so N is the split candidate directly; knots whose

@@ -13,6 +13,14 @@ single Python bigint), which is what keeps the census-scale
 computations within budget; Z[omega]-coefficient products use a
 bivariate packing of the same kind, and GF(p) products pack the
 residues as integers and reduce the product mod p.
+
+Packed digits are whole bytes wide and balanced (-2**(w-1) <= digit <
+2**(w-1) at width w), so packing and unpacking are byte joins and
+slices, linear in the packed size.  Both go through one bias constant
+that holds 2**(w-1) in every digit: a pack joins the bytes of the
+biased, nonnegative digits and subtracts the constant; an unpack adds
+it, so that every digit of the sum is nonnegative, and slices
+``to_bytes``.
 """
 
 from __future__ import annotations
@@ -34,33 +42,60 @@ def _degree_cap():
     return int(cap) if cap else None
 
 
+def _byte_width(bits):
+    """A digit width of at least ``bits`` bits, rounded up to whole bytes."""
+    return (bits + 7) & ~7
+
+
+def _bias(width, count):
+    """The integer whose ``count`` digits of ``width`` bits are all
+    2**(width-1); ``width`` is a multiple of 8."""
+    return int.from_bytes(
+        (1 << (width - 1)).to_bytes(width >> 3, "little") * count, "little"
+    )
+
+
 def _pack(coeffs, width):
-    """Pack integer coefficients into one bigint, low degree last shifted least."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << width) + c
-    return v
+    """Pack balanced digits into one bigint, sum of c_i * 2**(i*width).
+
+    ``width`` is a multiple of 8 and -2**(width-1) <= c_i < 2**(width-1).
+    Each biased digit c_i + 2**(width-1) is nonnegative and fits its
+    bytes, so the biased digits are one byte join; subtracting the bias
+    constant leaves the packing.
+    """
+    size = width >> 3
+    half = 1 << (width - 1)
+    biased = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(biased, "little") - _bias(width, len(coeffs))
 
 
 def _unpack(value, width, count):
-    """Invert _pack for signed digits of |digit| < 2**(width-1)."""
-    mask = (1 << width) - 1
+    """The ``count`` lowest balanced digits of ``value``: the unique d_i
+    with -2**(width-1) <= d_i < 2**(width-1) and
+    value == sum of d_i * 2**(i*width) modulo 2**(count*width).
+
+    This inverts _pack; a value that overflows ``count`` digits decodes
+    to the same digits as a digit-by-digit division would (exact
+    division relies on that).  ``width`` is a multiple of 8.  Adding the
+    bias constant makes every digit nonnegative, so after masking to
+    ``count`` digits they are plain byte slices of ``to_bytes``.
+    """
+    size = width >> 3
     half = 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        d = value & mask
-        if d >= half:
-            d -= 1 << width
-        value = (value - d) >> width
-        out.append(d)
-    return out
+    total = size * count
+    biased = (value + _bias(width, count)) & ((1 << (8 * total)) - 1)
+    buf = biased.to_bytes(total, "little")
+    return [
+        int.from_bytes(buf[i : i + size], "little") - half
+        for i in range(0, total, size)
+    ]
 
 
 def _kron_mul_int(a, b):
     amax = max(abs(c) for c in a)
     bmax = max(abs(c) for c in b)
     bound = amax * bmax * min(len(a), len(b))
-    width = bound.bit_length() + 2
+    width = _byte_width(bound.bit_length() + 2)
     prod = _pack(a, width) * _pack(b, width)
     return _unpack(prod, width, len(a) + len(b) - 1)
 
@@ -78,7 +113,9 @@ def _kron_div_int(num, den):
     nq = len(num) - len(den) + 1
     if nq <= 0:
         return None
-    width = max(max(abs(c) for c in num), max(abs(c) for c in den)).bit_length() + 8
+    width = _byte_width(
+        max(max(abs(c) for c in num), max(abs(c) for c in den)).bit_length() + 8
+    )
     cap = width + len(num) + 64
     while True:
         q, r = divmod(_pack(num, width), _pack(den, width))
@@ -102,7 +139,7 @@ def _kron_mul_quot(a, b, ring):
     amax = max(max(abs(x) for x in c) if any(c) else 0 for c in a)
     bmax = max(max(abs(x) for x in c) if any(c) else 0 for c in b)
     bound = max(amax, 1) * max(bmax, 1) * min(len(a), len(b)) * d
-    width = bound.bit_length() + 2
+    width = _byte_width(bound.bit_length() + 2)
 
     def pack(coeffs):
         digits = []

@@ -16,6 +16,7 @@ from talex.factorization import (
     _modp_factor,
     _split_determinant,
     _torus_factor,
+    _torus_image,
     conjecture_report,
     extract_GH,
     f_polynomial,
@@ -472,6 +473,27 @@ def test_torus_factor_is_built_once_per_p(monkeypatch):
         assert torus_q_probe(5) and torus_q_probe(7)
     finally:
         _torus_factor.cache_clear()
+    assert sorted(calls) == [3, 5, 7]
+
+
+def test_torus_image_is_built_once_per_p(monkeypatch):
+    import talex.factorization
+
+    calls = []
+    build = talex.factorization.presentation
+
+    def recording_presentation(f):
+        if f.beta == 1:
+            calls.append(f.alpha)
+        return build(f)
+
+    monkeypatch.setattr(talex.factorization, "presentation", recording_presentation)
+    _torus_image.cache_clear()
+    try:
+        for pair, p in [((85, 19), 5), ((21, 20), 7), ((9, 4), 3), ((35, 4), 5)] * 2:
+            extract_GH(F(*pair), p)
+    finally:
+        _torus_image.cache_clear()
     assert sorted(calls) == [3, 5, 7]
 
 

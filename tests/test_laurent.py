@@ -8,10 +8,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kron_oracle
 from conftest import P, Pstep, prod, random_poly
+from talex import laurent
 from talex.laurent import (
+    _SCHOOLBOOK_CUTOFF,
     DegreeLimitExceeded,
     LaurentPoly,
+    _byte_width,
+    _pack,
+    _unpack,
     cyclotomic_poly,
     gf_xgcd,
     modp_unit_equal,
@@ -20,6 +26,16 @@ from talex.rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
 
 coeff_lists = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12)
 offsets = st.integers(-6, 6)
+
+
+def _schoolbook(a, b):
+    ring = a.ring
+    out = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            k = a.min_deg + b.min_deg + i + j
+            out[k] = ring.add(out.get(k, ring.zero), ring.mul(x, y))
+    return LaurentPoly.from_dict(out, ring)
 
 
 def test_zero_normal_form():
@@ -113,6 +129,109 @@ def test_exact_div_failure_large_kronecker_path():
         num.exact_div(P(1, 1))
 
 
+def test_pack_unpack_match_the_shift_loop_oracle():
+    rng = random.Random(0xB17E)
+    for _ in range(600):
+        bits = rng.choice([b for b in range(2, 140) if b % 8])
+        width = _byte_width(bits)
+        assert width % 8 == 0 and bits < width < bits + 8
+        half = 1 << (width - 1)
+        edge = [0, 1, -1, half - 1, -(half - 1), -half]
+        n = rng.randrange(1, 30)
+        digits = [
+            rng.choice(edge) if rng.random() < 0.5 else rng.randrange(-half, half)
+            for _ in range(n)
+        ]
+        if rng.random() < 0.5:
+            digits[-1] = -rng.randrange(1, half + 1)  # negative leading digit
+        value = _pack(digits, width)
+        assert value == kron_oracle.pack(digits, width)
+        # count at, beyond and below the number of digits present
+        for count in (n, n + rng.randrange(1, 5), rng.randrange(1, n + 1)):
+            assert _unpack(value, width, count) == kron_oracle.unpack(value, width, count)
+        assert _unpack(value, width, n) == digits
+        # a value that overflows count digits: a wrong-width quotient in
+        # exact division decodes like this before the width doubles
+        wide = rng.randrange(-(1 << (width * (n + 3))), 1 << (width * (n + 3)))
+        assert _unpack(wide, width, n) == kron_oracle.unpack(wide, width, n)
+
+
+_BIG = 1 << 80
+
+
+@pytest.mark.parametrize(
+    "ring, coeff",
+    [
+        (ZZ, lambda rng: rng.randrange(-_BIG, _BIG)),
+        (GFp(2**89 - 1), lambda rng: rng.randrange(2**89 - 1)),
+        (
+            QuotientRing((5, 5, 1)),
+            lambda rng: (rng.randrange(-_BIG, _BIG), rng.randrange(-_BIG, _BIG)),
+        ),
+    ],
+    ids=["ZZ", "GFp", "QuotientRing"],
+)
+def test_big_coefficient_products_match_schoolbook(ring, coeff):
+    # above the schoolbook cutoff with coefficients beyond 2**64, so the
+    # packed digits span many bytes
+    rng = random.Random(89)
+    for _ in range(6):
+        spans = [rng.randrange(1, 60) for _ in range(2)]
+        spans[0] = max(spans[0], _SCHOOLBOOK_CUTOFF - spans[1] + 1)
+        a, b = (
+            LaurentPoly(ring, rng.randrange(-5, 6), [coeff(rng) for _ in range(n)])
+            for n in spans
+        )
+        assert len(a.coeffs) + len(b.coeffs) > _SCHOOLBOOK_CUTOFF
+        assert a * b == _schoolbook(a, b)
+
+
+def test_big_coefficient_exact_div_matches_schoolbook():
+    rng = random.Random(64)
+    for _ in range(20):
+        q, d = (
+            LaurentPoly.from_int_coeffs(
+                [rng.randrange(-_BIG, _BIG) for _ in range(rng.randrange(12, 50))],
+                min_deg=rng.randrange(-5, 6),
+            )
+            for _ in range(2)
+        )
+        assert _schoolbook(q, d).exact_div(d) == q
+        with pytest.raises(NonExactDivision):
+            (_schoolbook(q, d) + P(1)).exact_div(d)
+
+
+def test_inexact_division_through_the_width_doubling_loop(monkeypatch):
+    # num's coefficients are the balanced base-(-3) digits of a nonzero
+    # multiple of 2**16 + 3, so num(-3) is that multiple; 16 bits is the
+    # first width for these {-1, 0, 1} coefficients: the packed numerator is
+    # divisible by den(2**16) = 2**16 + 3 although t + 3 does not divide
+    # num, so the decoded candidate fails re-multiplication and the width
+    # doubles to 32, where the packed remainder is nonzero
+    target = (2**16 + 3) * (2**20 + 1)
+    digits = []
+    while target:
+        r = target % 3
+        r = -1 if r == 2 else r
+        digits.append(r if len(digits) % 2 == 0 else -r)
+        target = (target - r) // 3
+    num = LaurentPoly.from_int_coeffs(digits)
+    den = P(3, 1)
+    assert len(num.coeffs) + len(den.coeffs) > _SCHOOLBOOK_CUTOFF
+    assert num.eval_int(-3) % (2**16 + 3) == 0 and num.eval_int(-3) % (2**32 + 3)
+    widths = []
+
+    def recording_pack(coeffs, width):
+        if list(coeffs) == digits:
+            widths.append(width)
+        return _pack(coeffs, width)
+
+    monkeypatch.setattr(laurent, "_pack", recording_pack)
+    with pytest.raises(NonExactDivision):
+        num.exact_div(den)
+    assert widths == [16, 32]
+
+
 def test_ring_mismatch_raises():
     ring = QuotientRing((3, 1))
     with pytest.raises(RingMismatch):
@@ -134,16 +253,7 @@ def test_quotient_coeff_kronecker_mul():
 
     for _ in range(20):
         a, b = rand(), rand()
-        slow = LaurentPoly.zero(ring)
-        for i, x in enumerate(a.coeffs):
-            if ring.is_zero(x):
-                continue
-            row = {
-                a.min_deg + i + b.min_deg + j: ring.mul(x, y)
-                for j, y in enumerate(b.coeffs)
-            }
-            slow = slow + LaurentPoly.from_dict(row, ring)
-        assert a * b == slow
+        assert a * b == _schoolbook(a, b)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
@@ -160,12 +270,7 @@ def test_gfp_kronecker_mul_matches_schoolbook(p):
 
     for _ in range(25):
         a, b = rand(rng.randrange(1, 40)), rand(rng.randrange(1, 40))
-        out = {}
-        for i, x in enumerate(a.coeffs):
-            for j, y in enumerate(b.coeffs):
-                k = a.min_deg + b.min_deg + i + j
-                out[k] = gf.add(out.get(k, 0), gf.mul(x, y))
-        assert a * b == LaurentPoly.from_dict(out, gf)
+        assert a * b == _schoolbook(a, b)
     # zero results: a zero factor, and coefficients that cancel mod p
     assert rand(30) * LaurentPoly.zero(gf) == LaurentPoly.zero(gf)
     ones = LaurentPoly(gf, 0, [1] * 30)
