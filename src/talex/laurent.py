@@ -369,9 +369,10 @@ class LaurentPoly:
     def divmod_poly(self, den):
         """Polynomial division by ``den`` whose leading coefficient is a unit.
 
-        Works over any coefficient ring via ring.divexact on the
-        leading coefficient; raises NonExactDivision if a leading
-        division fails (caller falls back or reports).
+        Works over any coefficient ring by dividing exactly by the
+        leading coefficient (inverted once, through ring.divider);
+        raises NonExactDivision if a leading division fails (caller
+        falls back or reports).
         Returns (quotient, remainder) with deg(remainder) < deg(den).
         """
         self._check_ring(den)
@@ -388,11 +389,12 @@ class LaurentPoly:
         if nq <= 0:
             return LaurentPoly.zero(ring), self
         q = [ring.zero] * nq
+        divide = ring.divider(lead)
         for k in range(nq - 1, -1, -1):
             c = rem[k + len(dc) - 1]
             if ring.is_zero(c):
                 continue
-            qc = ring.divexact(c, lead)
+            qc = divide(c)
             q[k] = qc
             for j, y in enumerate(dc):
                 if not ring.is_zero(y):

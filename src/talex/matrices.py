@@ -70,6 +70,10 @@ class PolyRing:
         return a.exact_div(b)
 
     @staticmethod
+    def divider(b):
+        return lambda a: a.exact_div(b)
+
+    @staticmethod
     def is_negative(a):
         if a.is_zero:
             return False
@@ -341,7 +345,7 @@ class RingMatrix:
         if n <= 3:
             d = self.det()
             adj = self._adjugate_small()
-            return adj.map_entries(lambda e: r.divexact(e, d))
+            return adj.map_entries(r.divider(d))
         if r is ZZ:
             return self._inverse_int()
         raise NotImplementedError(f"inverse over {r} for size {n}")

@@ -18,11 +18,14 @@ Every constructed representation checks that the relators of its
 presentation map to the identity matrix; the U_n and V_n constructors
 verify their defining identities on the spot.
 
-A ``MatrixRep`` also owns the multiplication table of its image group,
-built lazily as words are walked.  Every image here is finite (at most
-2p elements for D_p, 4p for the binary dihedral group, 2pq for N(q,p)),
-so walking a relator of length L costs L table lookups plus at most
-|G| * 2k matrix products, whatever L is.  ``talex.words`` walks Fox
+A ``MatrixRep`` reads the multiplication table of its image group,
+built lazily as words are walked and shared by every rep with the same
+generator images, so the relator checks of later knots at the same p,
+the torus knot K(1/p) and retried assignments reuse the products of the
+first.  Every image here is finite (at most 2p elements for D_p, 4p for
+the binary dihedral group, 2pq for N(q,p)), so walking a relator of
+length L costs L table lookups plus at most |G| * 2k matrix products
+per distinct assignment, whatever L is.  ``talex.words`` walks Fox
 derivatives through this table.
 """
 
@@ -412,18 +415,71 @@ def multiplicative_order(k, p):
 # ---------------------------------------------------------------------------
 
 
+class _ImageTable:
+    """The multiplication table of the group generated by fixed images.
+
+    Element ids map to image matrices (id 0 is the identity) and
+    ``successors[g]`` maps a letter code to the id of element g times
+    that letter's image; the table grows lazily, one matrix product per
+    miss.  It is shared by every rep with the same images in generator
+    order (``_image_table``), so threads may grow it at once: an id is
+    published in ``successors`` only after its matrix and its own
+    successor map are stored, under a lock.
+    """
+
+    def __init__(self, images):
+        self.images = images
+        self.inverses = tuple(m.inverse() for m in images)
+        identity = RingMatrix.identity(images[0].ring, images[0].rows)
+        self.elements = [identity]
+        self.ids = {identity.entries: 0}
+        self.successors = [{}]
+        self._grow = threading.Lock()
+
+    def image_of_code(self, code):
+        return self.images[code - 1] if code > 0 else self.inverses[-code - 1]
+
+    def step(self, g, code):
+        """The id of element ``g`` times the image of letter ``code``."""
+        h = self.successors[g].get(code)
+        if h is not None:
+            return h
+        m = self.elements[g] * self.image_of_code(code)
+        with self._grow:
+            h = self.ids.get(m.entries)
+            if h is None:
+                h = len(self.elements)
+                self.ids[m.entries] = h
+                self.elements.append(m)
+                self.successors.append({})
+            self.successors[g][code] = h
+        return h
+
+
+@lru_cache(maxsize=None)
+def _image_table(images):
+    """The shared table of a tuple of generator images (in generator
+    order); a rep family has finitely many assignments, so this stays
+    small."""
+    return _ImageTable(images)
+
+
 class MatrixRep:
     """An assignment generator -> invertible matrix, with t-degree 1 per
     Wirtinger generator; relators are checked at construction.
 
-    The rep owns the multiplication table of its image group G, built
-    lazily: element ids map to image matrices (id 0 is the identity) and
-    (id, letter code) to the id of the product.  A matrix product is
-    taken only on a table miss, so once the at most |G| * 2k edges are
-    known (k generators) a word of any length is walked by dictionary
-    lookups alone.  The images of every representation here generate a
-    finite group; an infinite image keeps the walk correct, only not
-    faster.  A relator holds when its walk ends at id 0.
+    The multiplication table of the image group G (``table``) is shared
+    by every rep whose coefficient ring and generator images, in
+    generator order, are equal, and built lazily: element ids map to
+    image matrices (id 0 is the identity) and (id, letter code) to the
+    id of the product.  A matrix product is taken only on a table miss,
+    so once the at most |G| * 2k edges are known (k generators) a word
+    of any length is walked by dictionary lookups alone, and a second
+    rep with the same images (another knot at the same p, a retried
+    assignment) takes no product at all.  The images of every
+    representation here generate a finite group; an infinite image
+    keeps the walk correct, only not faster.  A relator holds when its
+    walk ends at id 0.
     """
 
     def __init__(self, pres, images):
@@ -438,13 +494,7 @@ class MatrixRep:
                 raise ValueError("all images must be square of equal size")
         self.pres = pres
         self.gens = tuple(gens)
-        self.images = dict(images)
-        self._inverses = {g: m.inverse() for g, m in self.images.items()}
-        identity = RingMatrix.identity(self.coeff_ring, self.dim)
-        self._elements = [identity]
-        self._ids = {identity.entries: 0}
-        self._next = [{}]
-        self._grow = threading.Lock()
+        self.table = _image_table(tuple(images[g] for g in gens))
         for rel in pres.relators:
             if self.walk(rel.codes) != 0:
                 raise NoValidAssignment(
@@ -452,45 +502,31 @@ class MatrixRep:
                 )
 
     def image_of_code(self, code):
-        name = self.gens[abs(code) - 1]
-        return self.images[name] if code > 0 else self._inverses[name]
-
-    def step(self, g, code):
-        """The id of element ``g`` times the image of letter ``code``."""
-        h = self._next[g].get(code)
-        if h is not None:
-            return h
-        m = self._elements[g] * self.image_of_code(code)
-        # threads may share a rep: an id must name the matrix stored under it
-        with self._grow:
-            h = self._ids.get(m.entries)
-            if h is None:
-                h = len(self._elements)
-                self._ids[m.entries] = h
-                self._elements.append(m)
-                self._next.append({})
-            self._next[g][code] = h
-        return h
+        return self.table.image_of_code(code)
 
     def walk(self, codes):
         """The id of the image of the word with letter codes ``codes``."""
-        table = self._next
+        successors = self.table.successors
+        step = self.table.step
         g = 0
         for c in codes:
-            h = table[g].get(c)
-            g = self.step(g, c) if h is None else h
+            h = successors[g].get(c)
+            g = step(g, c) if h is None else h
         return g
 
     def element(self, g):
         """The image matrix of element id ``g``."""
-        return self._elements[g]
+        return self.table.elements[g]
+
+
+@lru_cache(maxsize=None)
+def _pair_image(s_img, a_img, e):
+    return s_img * a_img ** e if e else s_img
 
 
 def rep_from_pair(pres, s_img, a_img, exponents):
     """Assignment generator_i -> s_img * a_img^exponents[i]."""
-    images = {}
-    for g, e in zip(pres.gens, exponents):
-        images[g] = s_img * a_img ** e if e else s_img
+    images = {g: _pair_image(s_img, a_img, e) for g, e in zip(pres.gens, exponents)}
     return MatrixRep(pres, images)
 
 
@@ -532,6 +568,14 @@ def search_assignment(pres, s_img, a_img, a_order, preferred=None):
     )
 
 
+@lru_cache(maxsize=None)
+def _rotation(x, y):
+    """x^-1 y, which generates the image group together with x, built
+    once per pair of images; for the dihedral and N(q,p) images x is a
+    reflection and this is the rotation xy."""
+    return x.inverse() * y
+
+
 def dihedral_rep(pres, p, flavor="xi", assignment=None):
     """A dihedral representation of the presentation.
 
@@ -550,22 +594,19 @@ def dihedral_rep(pres, p, flavor="xi", assignment=None):
         X, Y = dihedral_eta(p)
     else:
         raise ValueError(f"unknown dihedral flavor {flavor!r}")
-    a_img = X * Y  # the rotation xy of D_p
-    rep, _ = search_assignment(pres, X, a_img, p, preferred=assignment)
+    rep, _ = search_assignment(pres, X, _rotation(X, Y), p, preferred=assignment)
     return rep
 
 
 def binary_dihedral_rep(pres, p, assignment=None):
     x, y = binary_dihedral(p)
-    rep, _ = search_assignment(pres, x, x.inverse() * y, p, preferred=assignment)
+    rep, _ = search_assignment(pres, x, _rotation(x, y), p, preferred=assignment)
     return rep
 
 
 def nqp_rep(pres, q, p, assignment=None):
     x, y = nqp_images(q, p)
-    px, py = dihedral_pi(p)
-    a_img = (px * py).tensor(RingMatrix.identity(ZZ, 2 * q))
-    rep, _ = search_assignment(pres, x, a_img, p, preferred=assignment)
+    rep, _ = search_assignment(pres, x, _rotation(x, y), p, preferred=assignment)
     return rep
 
 

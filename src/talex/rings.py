@@ -78,6 +78,11 @@ class IntegerRing:
         return q
 
     @staticmethod
+    def divider(b):
+        """The map a -> a / b for one divisor b used many times."""
+        return lambda a: IntegerRing.divexact(a, b)
+
+    @staticmethod
     def is_negative(a):
         return a < 0
 
@@ -237,31 +242,41 @@ class QuotientRing:
             r0, r1 = r1, rem
             s0, s1 = s1, trim(s_next)
 
-    def divexact(self, a, b):
-        """a / b, raising NonExactDivision unless the quotient is integral."""
+    def divider(self, b):
+        """The map a -> a / b for one divisor b used many times: b is
+        inverted over Q once, and each call raises NonExactDivision
+        unless its quotient is integral."""
         inv = self.inv_rational(b)
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(inv):
-                    if y:
-                        prod[i + j] += x * y
         m = self.modulus
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = Fraction(0)
-                for j in range(d):
-                    prod[k - d + j] -= c * m[j]
-        out = []
-        for c in prod[:d]:
-            if c.denominator != 1:
-                raise NonExactDivision(
-                    "quotient-ring division is not integral", remainder=a
-                )
-            out.append(int(c))
-        return tuple(out)
+
+        def divide(a):
+            prod = [Fraction(0)] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(inv):
+                        if y:
+                            prod[i + j] += x * y
+            for k in range(len(prod) - 1, d - 1, -1):
+                c = prod[k]
+                if c:
+                    prod[k] = Fraction(0)
+                    for j in range(d):
+                        prod[k - d + j] -= c * m[j]
+            out = []
+            for c in prod[:d]:
+                if c.denominator != 1:
+                    raise NonExactDivision(
+                        "quotient-ring division is not integral", remainder=a
+                    )
+                out.append(int(c))
+            return tuple(out)
+
+        return divide
+
+    def divexact(self, a, b):
+        """a / b, raising NonExactDivision unless the quotient is integral."""
+        return self.divider(b)(a)
 
 
 class GFp:
@@ -308,6 +323,11 @@ class GFp:
 
     def divexact(self, a, b):
         return (a * self.inv(b)) % self.p
+
+    def divider(self, b):
+        """The map a -> a / b for one divisor b used many times."""
+        inv, p = self.inv(b), self.p
+        return lambda a: (a * inv) % p
 
     @staticmethod
     def is_negative(a):

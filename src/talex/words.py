@@ -11,18 +11,23 @@ forward along a representation rho: G -> GL(n), that is, as an element
 of Z[G][t^+-1] with G the (finite) image group.  ``fox_derivative(r, j,
 rep)`` computes exactly that in one pass over the letters of r, keeping
 a running t-exponent and the id of the current prefix's image in the
-rep's multiplication table, and accumulating one integer Laurent
-polynomial per element: O(L) time and memory for a relator of length L,
-where materializing the L prefix words costs O(L^2) of both.
-``rep_evaluate`` then applies each distinct image once, and the
-augmentation (the sum over G) is the abelianized psi-image that gives
-the Alexander polynomial.
+multiplication table of the image group (shared by every rep with the
+same generator images, and read inline: a matrix product is taken only
+on a table miss), and accumulating one integer Laurent polynomial per
+element: O(L) time and memory for a relator of length L, where
+materializing the L prefix words costs O(L^2) of both.
+``rep_evaluate`` then applies each distinct image once, adding integer
+multiples of the integer Laurent polynomials coordinate by coordinate,
+so no coefficient-ring product is taken; the augmentation (the sum
+over G) is the abelianized psi-image that gives the Alexander
+polynomial.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly
 from .matrices import PolyRing, RingMatrix
+from .rings import ZZ, QuotientRing
 
 ALPHABET = ("x", "y", "z", "u", "v", "w")
 
@@ -158,7 +163,8 @@ def fox_derivative(relator, gen_index, rep):
     reduction).
     """
     target = gen_index + 1
-    step = rep.step
+    successors = rep.table.successors
+    step = rep.table.step
     cells = {}  # element id -> {t-exponent: coefficient}
     g = 0
     e = 0
@@ -166,7 +172,8 @@ def fox_derivative(relator, gen_index, rep):
         if c == target:
             cell = cells.setdefault(g, {})
             cell[e] = cell.get(e, 0) + 1
-        g = step(g, c)
+        h = successors[g].get(c)
+        g = step(g, c) if h is None else h
         e += 1 if c > 0 else -1
         if c == -target:
             cell = cells.setdefault(g, {})
@@ -179,34 +186,49 @@ def rep_evaluate(s):
 
     Returns sum of M(g) * poly_g(t) over the image elements g as a
     matrix of Laurent polynomials over the representation's
-    coefficient ring; each distinct image is applied once.
+    coefficient ring, ZZ or Z[z]/(m); each distinct image is applied
+    once.  An integer times a residue needs no reduction mod m, so each
+    cell is accumulated as plain integer coefficient vectors, one per
+    integer coordinate of the ring (one for ZZ, deg m for Z[z]/(m)),
+    and turned into residues once at the end.
     """
     rep = s.rep
     ring = rep.coeff_ring
     n = rep.dim
     poly_ring = PolyRing(ring)
+    scalar = ring is ZZ
+    if not scalar and not isinstance(ring, QuotientRing):
+        raise TypeError(f"cannot evaluate over {ring}")
     if not s.terms:
         return RingMatrix.zeros(poly_ring, n)
     lo = min(poly.min_deg for poly in s.terms.values())
-    hi = max(poly.degree for poly in s.terms.values())
+    width = max(poly.degree for poly in s.terms.values()) - lo + 1
+    coords = 1 if scalar else ring.degree
     zero = ring.zero
-    add, mul, from_int = ring.add, ring.mul, ring.from_int
     cells = [[None] * n for _ in range(n)]
     for g, poly in s.terms.items():
-        mat = rep.element(g)
+        coeffs = poly.coeffs
         base = poly.min_deg - lo
-        for i, row in enumerate(mat.entries):
+        end = base + len(coeffs)
+        for i, row in enumerate(rep.element(g).entries):
+            cell_row = cells[i]
             for j, v in enumerate(row):
-                if ring.is_zero(v):
+                if v == zero:
                     continue
-                cell = cells[i][j]
-                if cell is None:
-                    cell = cells[i][j] = [zero] * (hi - lo + 1)
-                for k, c in enumerate(poly.coeffs, base):
-                    cell[k] = add(cell[k], mul(from_int(c), v))
+                for r, x in enumerate((v,) if scalar else v):
+                    if not x:
+                        continue
+                    cell = cell_row[j]
+                    if cell is None:
+                        cell = cell_row[j] = [[0] * width for _ in range(coords)]
+                    vec = cell[r]
+                    vec[base:end] = [a + x * c for a, c in zip(vec[base:end], coeffs)]
+    empty = LaurentPoly.zero(ring)
     out = [
         [
-            LaurentPoly(ring, lo, cell) if cell is not None else LaurentPoly.zero(ring)
+            empty
+            if cell is None
+            else LaurentPoly(ring, lo, cell[0] if scalar else zip(*cell))
             for cell in row
         ]
         for row in cells

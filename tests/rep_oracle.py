@@ -1,0 +1,50 @@
+"""Per-coefficient evaluation of an ImageSum: an oracle for
+``talex.words.rep_evaluate``.
+
+Every coefficient c of every poly_g is lifted into the coefficient ring
+with ``from_int``, multiplied by each entry of M(g) with the ring's
+``mul`` (which reduces mod m(z) over Z[z]/(m)) and added with its
+``add``.  The fast path adds integer multiples of integer vectors per
+coordinate and never calls the ring, so agreement certifies that an
+integer times a residue needs no reduction and that the coordinate
+bookkeeping is right.
+"""
+
+from talex.laurent import LaurentPoly
+from talex.matrices import PolyRing, RingMatrix
+
+
+def evaluate(s):
+    """Sum of M(g) * poly_g(t) over the terms of ``s``, one ring
+    operation per coefficient and matrix entry."""
+    rep = s.rep
+    ring = rep.coeff_ring
+    n = rep.dim
+    poly_ring = PolyRing(ring)
+    if not s.terms:
+        return RingMatrix.zeros(poly_ring, n)
+    lo = min(poly.min_deg for poly in s.terms.values())
+    hi = max(poly.degree for poly in s.terms.values())
+    zero = ring.zero
+    add, mul, from_int = ring.add, ring.mul, ring.from_int
+    cells = [[None] * n for _ in range(n)]
+    for g, poly in s.terms.items():
+        mat = rep.element(g)
+        base = poly.min_deg - lo
+        for i, row in enumerate(mat.entries):
+            for j, v in enumerate(row):
+                if ring.is_zero(v):
+                    continue
+                cell = cells[i][j]
+                if cell is None:
+                    cell = cells[i][j] = [zero] * (hi - lo + 1)
+                for k, c in enumerate(poly.coeffs, base):
+                    cell[k] = add(cell[k], mul(from_int(c), v))
+    out = [
+        [
+            LaurentPoly(ring, lo, cell) if cell is not None else LaurentPoly.zero(ring)
+            for cell in row
+        ]
+        for row in cells
+    ]
+    return RingMatrix(poly_ring, out)

@@ -7,6 +7,8 @@ the generator images, so agreement on every representation flavor is
 the correctness certificate of the walk.
 """
 
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -22,8 +24,12 @@ from talex.knots import (
 )
 from talex.matrices import RingMatrix
 from talex.representations import (
+    NoValidAssignment,
+    _image_table,
+    _ImageTable,
     binary_dihedral_rep,
     dihedral_rep,
+    dihedral_xi,
     kmeta_rep,
     nqp_rep,
     trivial_rep,
@@ -122,6 +128,15 @@ def test_fundamental_identity_on_the_walk(rng):
         assert_fundamental_identity(pres, rep)
 
 
+def assert_table_consistent(table):
+    # every id's matrix is the product along its edges, and ids are unique
+    for g, edges in enumerate(table.successors):
+        for code, h in edges.items():
+            assert table.elements[g] * table.image_of_code(code) == table.elements[h]
+    assert len(table.successors) == len(table.elements)
+    assert {m.entries: g for g, m in enumerate(table.elements)} == table.ids
+
+
 def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng):
     pres = presentation(random_fraction(rng, p=5, max_alpha=200))
     bounds = (
@@ -136,7 +151,81 @@ def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng):
             for c in word.codes:
                 product = product * rep.image_of_code(c)
             assert rep.element(rep.walk(word.codes)) == product
-        assert len(rep._elements) <= order
+        assert len(rep.table.elements) <= order
+        assert_table_consistent(rep.table)
+    # 5 does not divide 7: every candidate of the search fails its relator
+    # and leaves its shared table grown but consistent
+    with pytest.raises(NoValidAssignment):
+        dihedral_rep(presentation(TwoBridgeFraction(7, 3)), 5, "xi")
+    X, Y = dihedral_xi(5)
+    for e in range(1, 5):
+        table = _image_table((X, X * (X * Y) ** e))
+        assert len(table.elements) > 1
+        assert_table_consistent(table)
+
+
+def test_reps_with_equal_images_share_one_table():
+    rep = dihedral_rep(presentation(TwoBridgeFraction(15, 4)), 5)
+    assert dihedral_rep(presentation(TwoBridgeFraction(45, 7)), 5).table is rep.table
+    assert dihedral_rep(presentation(TwoBridgeFraction(5, 1)), 5).table is rep.table
+    assert dihedral_rep(presentation(TwoBridgeFraction(15, 4)), 3).table is not rep.table
+    trefoil = presentation(TwoBridgeFraction(3, 1))
+    first = dihedral_rep(trefoil, 3, assignment=(0, 1))
+    second = dihedral_rep(trefoil, 3, assignment=(0, 2))
+    assert first.table is not second.table
+    assert dihedral_rep(trefoil, 3, "eta").table is not first.table
+    assert binary_dihedral_rep(trefoil, 3).table is not first.table
+
+
+def test_a_second_dihedral_rep_takes_no_matrix_product(monkeypatch):
+    f = TwoBridgeFraction(45, 7)
+    dihedral_rep(presentation(f), 5, "xi")
+    products = []
+    real = RingMatrix.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(RingMatrix, "__mul__", counting)
+    rep = dihedral_rep(presentation(f), 5, "xi")
+    fox_derivative(rep.pres.relators[0], 0, rep)
+    assert products == []
+
+
+def test_threads_walking_one_fresh_table_get_the_same_ids(rng):
+    X, Y = dihedral_xi(11)
+    words = [
+        [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, 30))]
+        for _ in range(200)
+    ]
+    table = _ImageTable((X, Y))
+    results = {}
+
+    def walk_all(k):
+        out = []
+        for codes in words:
+            g = 0
+            for c in codes:
+                g = table.step(g, c)
+            out.append(g)
+        results[k] = out
+
+    threads = [threading.Thread(target=walk_all, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    assert all(out == results[0] for out in results.values())
+    assert len(table.elements) == 22
+    assert_table_consistent(table)
 
 
 def test_zero_derivative_evaluates_to_zero():

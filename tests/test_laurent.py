@@ -123,6 +123,29 @@ def test_exact_div_failure_carries_remainder():
     assert err.value.remainder is not None
 
 
+def test_divmod_poly_inverts_the_leading_coefficient_once(monkeypatch):
+    ring = QuotientRing((5, 5, 1))  # theta_2
+    w = ring.gen()
+    u = ring.add(ring.from_int(3), w)  # norm theta(-3) = -1: a unit
+    den = LaurentPoly(ring, -1, [w, ring.from_int(-2), u])
+    quot = LaurentPoly(ring, 2, [ring.from_int(k - 3) for k in range(6)] + [ring.one])
+    num = quot * den
+    inverted = []
+    inv_rational = QuotientRing.inv_rational
+
+    def recording(self, a):
+        inverted.append(a)
+        return inv_rational(self, a)
+
+    monkeypatch.setattr(QuotientRing, "inv_rational", recording)
+    q, r = num.divmod_poly(den)
+    assert (q, r.is_zero) == (quot, True)
+    assert inverted == [u]
+    # the leading coefficient u of num is not divisible by 2
+    with pytest.raises(NonExactDivision):
+        num.divmod_poly(LaurentPoly(ring, 0, [ring.one, ring.from_int(2)]))
+
+
 def test_exact_div_failure_large_kronecker_path():
     num = prod([P(1, 1)] * 3) * Pstep(7, *range(1, 9)) + P(1)
     with pytest.raises(NonExactDivision):
