@@ -51,9 +51,9 @@ print("  torus q(t) shape:       ", report.remark53)
 
 print()
 print("=" * 64)
-print("Off the beaten track: K(4/9) has no bounded H(3) expansion, yet")
-print("the factorization still certifies -- an empirical finding beyond")
-print("the proven range.")
+print("Off the beaten track: K(4/9) has no H(3) expansion in any")
+print("Schubert form, yet the factorization still certifies -- an")
+print("empirical finding beyond the proven range.")
 print("=" * 64)
 other = conjecture_report(TwoBridgeFraction(9, 4), 3)
 print("split:", other.split, "| hp:", other.hp, "| F =", other.F)

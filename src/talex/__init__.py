@@ -46,6 +46,7 @@ from .twisted import (
     kmeta_total,
     metacyclic_total,
     modp_congruence,
+    modp_factor,
     nqp_total,
     perm_dihedral_total,
     wada,

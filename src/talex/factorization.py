@@ -11,9 +11,9 @@ The extra factor itself is recovered as an exact matrix quotient
 N(t) = Fox(R) * adj(Fox(R0)) / det(Fox(R0)): failure of that division
 or of splitness is a first-class outcome (expected off H(p)), not a
 crash.  Such knots are paired by total_pairing: the paper's
-congruence F = {Delta(t)/(1+t)}^n mod p names the factor, a quadratic
-Hensel lift recovers F from it, and sympy's integer factorization is
-the last resort.
+congruence F = {Delta(t)/(1+t)}^n mod p names the factor
+(twisted.modp_factor), a quadratic Hensel lift recovers F from it, and
+sympy's integer factorization is the last resort.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .intfactor import int_poly_factor
-from .knots import alexander, hp_expansion, presentation
+from .knots import TwoBridgeFraction, alexander, hp_expansion, presentation
 from .laurent import LaurentPoly, modp_unit_equal, gf_exact_div, gf_xgcd
 from .matrices import PolyRing, RingMatrix, ZZ_POLY, gamma_substitute
 from .representations import (
@@ -35,9 +35,8 @@ from .representations import (
     xy_power_table,
 )
 from .rings import ZZ, NonExactDivision
-from .twisted import dihedral_total, modp_congruence, wada
+from .twisted import dihedral_total, modp_factor, wada
 from .words import fox_derivative, rep_evaluate
-from .knots import TwoBridgeFraction
 
 
 class NotSplit(ValueError):
@@ -187,14 +186,14 @@ def _lift_int_matrix(M):
 
 def _split_determinant(form, p):
     """det(gamma(G) - V * gamma(H)) for a split form; by parity of G and
-    H this is one member of an {f(t), f(-t)} pair."""
+    H this is one member of an {f(t), f(-t)} pair.  gamma(G) and
+    gamma(H) are polynomials in C_n, so they commute with V_n because
+    V_n commutes with C_n (checked once, by v_matrix)."""
     n = (p - 1) // 2
     C = omega_companion(n)
     V = _lift_int_matrix(v_matrix(n))
     gG = gamma_substitute(form.G, C)
     gH = gamma_substitute(form.H, C)
-    if gG * V != V * gG or gH * V != V * gH:
-        raise AssertionError("gamma images fail to commute with V")
     return (gG - V * gH).det()
 
 
@@ -244,34 +243,16 @@ def f_polynomial(f, p, *, D=None):
     return cert
 
 
-def _modp_factor(delta, p):
-    """The paper's mod-p prediction u = {Delta(t)/(1+t)}^n in GF(p)[t],
-    shifted to a polynomial with nonzero constant term and made monic;
-    None when 1+t does not divide Delta mod p."""
-    n = (p - 1) // 2
-    one_plus = LaurentPoly.from_int_coeffs([1, 1]).reduce_mod(p)
-    try:
-        u = gf_exact_div(delta.reduce_mod(p), one_plus) ** n
-    except NonExactDivision:
-        return None
-    return _monic(u.shift(-u.min_deg))
-
-
-def _monic(poly):
-    return poly.scale(poly.ring.inv(poly.coeffs[-1]))
-
-
-def total_pairing(D, p, delta):
+def total_pairing(D, u):
     """An F with F(t)F(-t) = D (up to units) for a knot whose constructive
-    split fails, D its dihedral total at p and delta its Alexander
-    polynomial; None when no pairing exists.
+    split fails, D its dihedral total at p and u = modp_factor(Delta, p)
+    its mod-p factor (None when there is none); None when no pairing
+    exists.
 
     The paper's congruence F = u mod p names the factor to look for: the
     Hensel lift of u proposes F (_hensel_pairing), and sympy's pairing,
     oriented by u, runs only when the lift does not apply or its
-    candidate fails the certificate.  conjecture_report and the census
-    suite both pair through here."""
-    u = _modp_factor(delta, p)
+    candidate fails the certificate."""
     if u is not None:
         F = _hensel_pairing(D, u)
         if F is not None:
@@ -326,7 +307,7 @@ def _hensel_step(f, g, h, s, t, m, last):
 
 def _hensel_pairing(D, u):
     """F with F(t)F(-t) = D lifted from its known image u mod p (monic in
-    GF(p)[t], from _modp_factor), or None when the lift does not apply
+    GF(p)[t], from modp_factor), or None when the lift does not apply
     or its candidate fails the certificate.
 
     It applies when p does not divide lc(D), D = lc*u(t)*v(t) mod p with
@@ -341,7 +322,8 @@ def _hensel_pairing(D, u):
     if D.is_zero or D.coeffs[-1] % p == 0:
         return None
     lc = D.coeffs[-1]
-    v = _monic(u.negate_t())
+    # u(-t) made monic: its leading coefficient is (-1)^deg u
+    v = u.negate_t().scale(u.ring.from_int((-1) ** u.degree))
     g0 = u.scale(lc % p)
     if D.reduce_mod(p) != g0 * v:
         return None
@@ -376,7 +358,7 @@ def factor_pairing(D, u=None):
 
     Each irreducible q is paired with its t -> -t image, and any
     orientation of the pairs gives a valid F.  Given the mod-p factor u
-    that F should reduce to (from _modp_factor), each copy of a pair is
+    that F should reduce to (from modp_factor), each copy of a pair is
     oriented by trial division of what remains of u: q when q divides
     it mod p, else q(-t) when that does, else q.  F and F(-t) meet the
     congruence together, so the first pair keeps q and fixes whether
@@ -495,9 +477,10 @@ def conjecture_report(f, p):
     pairing route of total_pairing as the fallback), the H(p) verdict
     ("yes" with an expansion, "no" when no Schubert form has one), mod-p
     congruences, and the torus-part probe.  D(t) and Delta(t) are
-    computed once and shared by all of them."""
+    computed once, and so is the mod-p factor u that the pairing and
+    both congruences read."""
     D = dihedral_total(f, p)
-    delta = alexander(presentation(f))
+    u = modp_factor(alexander(presentation(f)), p)
     split_ok = False
     q = fpoly = F = None
     try:
@@ -505,13 +488,13 @@ def conjecture_report(f, p):
         split_ok = True
         q, fpoly, F = cert.q, cert.f, cert.F
     except (NonExactDivision, NotSplit):
-        F = total_pairing(D, p, delta)
+        F = total_pairing(D, u)
     hp = "no" if hp_expansion(f, p) is None else "yes"
-    modp = modp_congruence(f, p, D=D, delta=delta).congruence_holds
+    # the congruence of twisted.modp_congruence, from D and u in hand
+    modp = u is not None and modp_unit_equal(D, u * u.negate_t(), p)
     modp_f = None
     if F is not None:
-        base = _modp_factor(delta, p)
-        if base is None:
+        if u is None:
             modp_f = False
         else:
             # F is pinned only up to t -> -t applied independently to
@@ -522,8 +505,7 @@ def conjecture_report(f, p):
             else:
                 candidates = [F]
             modp_f = any(
-                modp_unit_equal(c.reduce_mod(p), base, p)
-                or modp_unit_equal(c.negate_t().reduce_mod(p), base, p)
+                modp_unit_equal(c, u, p) or modp_unit_equal(c.negate_t(), u, p)
                 for c in candidates
             )
     return ConjectureReport(

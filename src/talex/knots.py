@@ -42,9 +42,6 @@ class TwoBridgeFraction:
             raise ValueError(f"expected 'beta/alpha', got {text!r}")
         return cls(int(alpha_s), int(beta_s))
 
-    def as_fraction(self):
-        return Fraction(self.beta, self.alpha)
-
     def __str__(self):
         return f"{self.beta}/{self.alpha}"
 
@@ -177,7 +174,8 @@ def hp_expansion(f, p):
         found = dfs(0, Fraction(b, f.alpha), [])
         if found is not None:
             cf = ContinuedFraction(tuple(found))
-            assert cf_eval(cf) == Fraction(b, f.alpha)
+            if cf_eval(cf) != Fraction(b, f.alpha):
+                raise AssertionError(f"H({p}) expansion {found} of {f} misevaluates")
             return cf
     return None
 
@@ -203,12 +201,6 @@ def alexander(pres):
 
 def _psi_fox(relator, j, rep):
     return fox_derivative(relator, j, rep).augmentation()
-
-
-def alexander_raw(pres):
-    """psi(dR/dx) without normalization (2-generator presentations only);
-    the mod-p triangular-structure check needs the honest sign."""
-    return _psi_fox(pres.relators[0], 0, trivial_rep(pres))
 
 
 def random_fraction(rng, p=None, max_alpha=500):

@@ -522,7 +522,7 @@ def modp_unit_equal(a, b, p):
     gf = fa.ring
     if len(fa.coeffs) != len(fb.coeffs):
         return False
-    scale = gf.divexact(fb.coeffs[0], fa.coeffs[0])
+    scale = gf.mul(fb.coeffs[0], gf.inv(fa.coeffs[0]))
     return all(
         gf.mul(scale, x) == y for x, y in zip(fa.coeffs, fb.coeffs)
     )

@@ -66,10 +66,6 @@ class PolyRing:
         return LaurentPoly.const(n, self.coeff_ring)
 
     @staticmethod
-    def divexact(a, b):
-        return a.exact_div(b)
-
-    @staticmethod
     def divider(b):
         return lambda a: a.exact_div(b)
 
@@ -314,6 +310,7 @@ class RingMatrix:
                 m[k], m[pivot_row] = m[pivot_row], m[k]
                 sign = -sign
             pivot = m[k][k]
+            divide = r.divider(prev) if k else None
             for i in range(k + 1, n):
                 rik = m[i][k]
                 rik_zero = r.is_zero(rik)
@@ -321,7 +318,7 @@ class RingMatrix:
                     a = r.mul(pivot, m[i][j])
                     if not rik_zero and not r.is_zero(m[k][j]):
                         a = r.sub(a, r.mul(rik, m[k][j]))
-                    m[i][j] = r.divexact(a, prev) if k else a
+                    m[i][j] = divide(a) if k else a
                 m[i][k] = r.zero
             prev = pivot
         d = m[n - 1][n - 1]

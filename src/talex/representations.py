@@ -210,20 +210,25 @@ def xy_power_table(p):
     d = [r[3] for r in rows]
     add, sub, mul = ring.add, ring.sub, ring.mul
     for k in range(2, p + 1):
-        assert a[k] == sub(mul(add(two_plus, w), a[k - 1]), a[k - 2])
-        assert mul(w, b[k]) == sub(
-            mul(add(ring.one, w), a[k - 1]), a[k - 2]
-        )
+        if not (
+            a[k] == sub(mul(add(two_plus, w), a[k - 1]), a[k - 2])
+            and mul(w, b[k]) == sub(mul(add(ring.one, w), a[k - 1]), a[k - 2])
+        ):
+            raise AssertionError(f"(XY)^{k} breaks the three-term recurrence at p={p}")
     running = ring.zero
     for k in range(1, p + 1):
-        assert mul(w, b[k]) == sub(a[k], a[k - 1])
-        assert mul(w, b[k]) == c[k]
-        assert a[k] == add(mul(w, b[k]), d[k])
-        assert d[k] == a[k - 1]
-        assert b[k] == add(b[k - 1], a[k - 1])
-        assert add(c[k], d[k]) == a[k]
+        wb = mul(w, b[k])
         running = add(running, a[k - 1])
-        assert running == b[k]
+        if not (
+            wb == sub(a[k], a[k - 1])
+            and wb == c[k]
+            and a[k] == add(wb, d[k])
+            and d[k] == a[k - 1]
+            and b[k] == add(b[k - 1], a[k - 1])
+            and add(c[k], d[k]) == a[k]
+            and running == b[k]
+        ):
+            raise AssertionError(f"(XY)^{k} breaks the entry identities at p={p}")
     return XYPowerTable(p, tuple(rows))
 
 
@@ -306,8 +311,10 @@ def d_kl(n, k, ell):
 @lru_cache(maxsize=None)
 def v_matrix(n):
     """The integer square root V_n of 4E_n + C_n, built from the
-    alternating Catalan series; V_n^2 = 4E_n + C_n is verified on
-    construction."""
+    alternating Catalan series; V_n^2 = 4E_n + C_n and V_n C_n = C_n V_n
+    are verified on construction.  The second follows from the first,
+    but the split determinants rely on it directly: every gamma image is
+    a polynomial in C_n, so it commutes with V_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     V = RingMatrix(
@@ -321,6 +328,8 @@ def v_matrix(n):
     expected = RingMatrix.identity(ZZ, n).scale(4) + C
     if V * V != expected:
         raise AssertionError(f"V_{n}^2 != 4E + C")
+    if V * C != C * V:
+        raise AssertionError(f"V_{n} does not commute with C_{n}")
     return V
 
 

@@ -69,18 +69,19 @@ class IntegerRing:
         return n
 
     @staticmethod
-    def divexact(a, b):
+    def divider(b):
+        """The map a -> a / b for one divisor b used many times; each call
+        raises NonExactDivision unless b divides its argument."""
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise NonExactDivision(f"{a} is not divisible by {b}", remainder=r)
-        return q
 
-    @staticmethod
-    def divider(b):
-        """The map a -> a / b for one divisor b used many times."""
-        return lambda a: IntegerRing.divexact(a, b)
+        def divide(a):
+            q, r = divmod(a, b)
+            if r:
+                raise NonExactDivision(f"{a} is not divisible by {b}", remainder=r)
+            return q
+
+        return divide
 
     @staticmethod
     def is_negative(a):
@@ -104,7 +105,7 @@ class QuotientRing:
     residue in ascending powers of z.  When m is irreducible (the
     Eisenstein-shaped minimal polynomials used throughout, and the
     cyclotomic ones) this is an integral domain and nonzero elements
-    are invertible over Q, which is what ``divexact`` relies on.
+    are invertible over Q, which is what ``divider`` relies on.
     """
 
     def __init__(self, modulus):
@@ -274,10 +275,6 @@ class QuotientRing:
 
         return divide
 
-    def divexact(self, a, b):
-        """a / b, raising NonExactDivision unless the quotient is integral."""
-        return self.divider(b)(a)
-
 
 class GFp:
     """The prime field Z/p; elements are ints in range(p)."""
@@ -320,9 +317,6 @@ class GFp:
         if a % self.p == 0:
             raise ZeroDivisionError("inverting 0 mod p")
         return pow(a, self.p - 2, self.p)
-
-    def divexact(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def divider(self, b):
         """The map a -> a / b for one divisor b used many times."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .knots import alexander, alexander_raw, presentation
+from .knots import alexander, presentation
 from .laurent import (
     LaurentPoly,
     cyclotomic_poly,
@@ -192,89 +192,32 @@ def kmeta_total(pres, p, k, assignment=None):
 
 
 # ---------------------------------------------------------------------------
-# mod-p structure
+# the mod-p factor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModpReport:
-    p: int
-    congruence_holds: bool
-    nqp_variant_holds: bool | None
-
-
-def modp_congruence(f, p, q=None, *, D=None, delta=None):
-    """Check D(t) = {Delta(t)/(1+t)}^n {Delta(-t)/(1-t)}^n in (Z/p)[t]
-    up to units, and optionally the metacyclic variant at a given q.
-
-    A caller that already holds D = dihedral_total(f, p) or
-    delta = alexander(presentation(f)) passes it in."""
-    _require_divides(f, p)
+def modp_factor(delta, p):
+    """The paper's mod-p factor u = {Delta(t)/(1+t)}^n in GF(p)[t], n =
+    (p-1)/2, for a knot with Alexander polynomial delta: shifted to a
+    nonzero constant term and made monic.  None when 1+t does not divide
+    Delta mod p."""
     n = (p - 1) // 2
-    if D is None:
-        D = dihedral_total(f, p)
-    if delta is None:
-        delta = alexander(presentation(f))
-    delta_p = delta.reduce_mod(p)
     one_plus = LaurentPoly.from_int_coeffs([1, 1]).reduce_mod(p)
-    one_minus = LaurentPoly.from_int_coeffs([1, -1]).reduce_mod(p)
     try:
-        left = gf_exact_div(delta_p, one_plus)
-        right = gf_exact_div(delta_p.negate_t(), one_minus)
+        u = gf_exact_div(delta.reduce_mod(p), one_plus) ** n
     except NonExactDivision:
-        return ModpReport(p=p, congruence_holds=False, nqp_variant_holds=None)
-    target = (left ** n) * (right ** n)
-    holds = modp_unit_equal(D.reduce_mod(p), target, p)
-    nqp_holds = None
-    if q is not None:
-        lhs = nqp_total(f, q, p).reduce_mod(p)
-        full_cycle = LaurentPoly.from_int_coeffs([-1] + [0] * (2 * q - 1) + [1])
-        cyc_delta = cyclic_product(delta, full_cycle).reduce_mod(p)
-        one_minus_2q = LaurentPoly.from_int_coeffs(
-            [1] + [0] * (2 * q - 1) + [-1]
-        ).reduce_mod(p)
-        base = gf_exact_div(cyc_delta, one_minus_2q)
-        nqp_holds = modp_unit_equal(lhs, base ** p, p)
-    return ModpReport(p=p, congruence_holds=holds, nqp_variant_holds=nqp_holds)
+        return None
+    u = u.shift(-u.min_deg)
+    return u.scale(u.ring.inv(u.coeffs[-1]))
 
 
-@dataclass(frozen=True)
-class TriangularReport:
-    lower_triangular: bool
-    c_block_strict: bool
-    diagonals_match: bool
-
-    @property
-    def holds(self):
-        return self.lower_triangular and self.c_block_strict and self.diagonals_match
-
-
-def modp_triangular_structure(f, p):
-    """The mod-p shape of the gamma-substituted Fox image: all four n x n
-    blocks lower triangular, the lower-left strictly so, with diagonal
-    entries Delta(-t) (upper-left) and Delta(t) (lower-right) mod p."""
+def modp_congruence(f, p):
+    """Does D(t) = u(t) u(-t) hold in GF(p)[t] up to units, u =
+    modp_factor(Delta, p)?  That is the paper's congruence
+    D = {Delta(t)/(1+t)}^n {Delta(-t)/(1-t)}^n mod p; False when u does
+    not exist."""
     _require_divides(f, p)
-    pres = presentation(f)
-    rep = dihedral_rep(pres, p, "eta")
-    M = rep_evaluate(fox_derivative(pres.relators[0], 0, rep))
-    n = (p - 1) // 2
-    delta_raw = alexander_raw(pres)
-    diag_upper = delta_raw.negate_t().reduce_mod(p)
-    diag_lower = delta_raw.reduce_mod(p)
-    lower = True
-    strict = True
-    diags = True
-    for bi in range(2):
-        for bj in range(2):
-            for i in range(n):
-                for j in range(n):
-                    entry = M[bi * n + i, bj * n + j].reduce_mod(p)
-                    if j > i and not entry.is_zero:
-                        lower = False
-                    if (bi, bj) == (1, 0) and i == j and not entry.is_zero:
-                        strict = False
-                    if i == j and (bi, bj) == (0, 0) and entry != diag_upper:
-                        diags = False
-                    if i == j and (bi, bj) == (1, 1) and entry != diag_lower:
-                        diags = False
-    return TriangularReport(lower, strict, diags)
+    u = modp_factor(alexander(presentation(f)), p)
+    if u is None:
+        return False
+    return modp_unit_equal(dihedral_total(f, p), u * u.negate_t(), p)

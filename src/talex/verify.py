@@ -14,11 +14,10 @@ import random
 from dataclasses import dataclass
 
 from .factorization import (
-    NotSplit,
+    conjecture_report,
     f_polynomial,
     split_check,
     torus_gh,
-    total_pairing,
 )
 from .knots import (
     TwoBridgeFraction,
@@ -46,7 +45,6 @@ from .representations import (
     v_matrix,
     xy_power_table,
 )
-from .rings import NonExactDivision
 from .twisted import (
     binary_dihedral_total,
     binary_dihedral_total_of,
@@ -423,7 +421,7 @@ def paper_suite():
         items.append(
             Item(
                 f"mod-p congruence {pair[1]}/{pair[0]} p={p}",
-                lambda pair=pair, p=p: modp_congruence(_frac(pair), p).congruence_holds,
+                lambda pair=pair, p=p: modp_congruence(_frac(pair), p),
             )
         )
     return items
@@ -488,8 +486,7 @@ def identities_suite(rng=None):
     primes = [3, 5, 7, 11, 13]
 
     def base_values(p):
-        xy_power_table(p)  # recurrences asserted at construction
-        table = xy_power_table(p)
+        table = xy_power_table(p)  # recurrences checked at construction
         ring = omega_ring((p - 1) // 2)
         w = ring.gen()
         return (
@@ -777,26 +774,21 @@ def census_suite(seed=7, count=50):
         # item is a theorem check; elsewhere it reports a finding
         proven = hp_expansion(f, p) is not None
 
-        def D():
+        def report():
             # built by whichever of the two items runs first
             if not built:
-                built.append(dihedral_total(f, p))
+                built.append(conjecture_report(f, p))
             return built[0]
 
         def factor_report():
-            try:
-                f_polynomial(f, p, D=D())
-                return True
-            except (NotSplit, NonExactDivision):
-                # without an expansion: record whether the fallback pairs it
-                return not proven and (
-                    total_pairing(D(), p, alexander(presentation(f))) is not None
-                )
+            r = report()
+            # without an expansion: record whether the fallback pairs it
+            return r.split or (not proven and r.F is not None)
 
         return [
             Item(
                 f"mod-p congruence holds for {f} p={p}",
-                lambda: modp_congruence(f, p, D=D()).congruence_holds,
+                lambda: report().modp,
             ),
             Item(
                 f"factorization finding for {f} p={p}",

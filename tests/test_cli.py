@@ -152,7 +152,7 @@ def test_verify_census_fails_a_knot_with_an_expansion_that_does_not_split(
         raise NotSplit("injected")
 
     monkeypatch.setattr("talex.cli.SUITES", dict(verify.SUITES, census=two_samples))
-    monkeypatch.setattr(verify, "f_polynomial", not_split)
+    monkeypatch.setattr("talex.factorization.f_polynomial", not_split)
     code, out, _ = run(capsys, "verify", "census")
     assert code == 1
     assert "FAIL     factorization finding for 5/33 p=3" in out

@@ -13,7 +13,6 @@ from talex.factorization import (
     _as_matrix,
     _hensel_pairing,
     _lex_min_rep,
-    _modp_factor,
     _split_determinant,
     _torus_factor,
     _torus_image,
@@ -29,10 +28,16 @@ from talex.factorization import (
 from talex.intfactor import int_poly_factor
 from talex.knots import TwoBridgeFraction, alexander, presentation, random_fraction
 from talex.laurent import LaurentPoly, gf_xgcd, modp_unit_equal
-from talex.matrices import PolyRing, RingMatrix
-from talex.representations import dihedral_xi, omega_ring, v_matrix
+from talex.matrices import ZZ_POLY, PolyRing, RingMatrix, gamma_substitute
+from talex.representations import (
+    dihedral_xi,
+    is_prime,
+    omega_companion,
+    omega_ring,
+    v_matrix,
+)
 from talex.rings import NonExactDivision
-from talex.twisted import dihedral_total
+from talex.twisted import dihedral_total, modp_factor
 
 
 def F(a, b):
@@ -190,10 +195,19 @@ def test_factor_pairing_agrees_with_constructive():
 
 
 def test_gamma_images_commute_with_v():
-    # asserted inside _split_determinant; exercise it on a nontrivial knot
+    # v_matrix checks V_n C_n = C_n V_n once per n; every gamma image is
+    # a polynomial in C_n, so on a nontrivial knot it commutes with V_n
+    for n in range(1, 51):
+        if is_prime(2 * n + 1):
+            V, C = v_matrix(n), omega_companion(n)
+            assert V * C == C * V, n
     form = extract_GH(F(85, 19), 5)
-    val = _split_determinant(form, 5)
-    assert not val.is_zero
+    C = omega_companion(2)
+    V = v_matrix(2).map_entries(LaurentPoly.const, ring=ZZ_POLY)
+    for part in (form.G, form.H):
+        image = gamma_substitute(part, C)
+        assert image * V == V * image
+    assert not _split_determinant(form, 5).is_zero
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -378,7 +392,7 @@ def test_hensel_pairing_agrees_with_the_sympy_oracle():
         if not does_not_split(f, p):
             continue
         D = dihedral_total(f, p)
-        u = _modp_factor(alexander(presentation(f)), p)
+        u = modp_factor(alexander(presentation(f)), p)
         F = _hensel_pairing(D, u)
         if F is None:
             # the lift declines only where its hypotheses fail
@@ -416,7 +430,7 @@ def test_sympy_pairing_is_oriented_by_the_modp_factor():
     # it is valid but fails the congruence; oriented by u it meets it
     for pair, p in [((399, 176), 7), ((345, 208), 5)]:
         D = dihedral_total(F(*pair), p)
-        u = _modp_factor(alexander(presentation(F(*pair))), p)
+        u = modp_factor(alexander(presentation(F(*pair))), p)
         assert not congruent(factor_pairing(D), u, p)
         oriented = factor_pairing(D, u)
         assert (oriented * oriented.negate_t()).canonical() == D.canonical()
@@ -430,13 +444,13 @@ def test_lift_declines_and_sympy_pairs_when_u_is_not_coprime_to_its_mirror():
     f, p = F(469, 293), 7
     delta = alexander(presentation(f))
     D = dihedral_total(f, p)
-    u = _modp_factor(delta, p)
+    u = modp_factor(delta, p)
     with pytest.raises(ValueError):
         gf_xgcd(u, u.negate_t())
     assert _hensel_pairing(D, u) is None
     unoriented = factor_pairing(D)
     assert congruent(unoriented, u, p)
-    assert total_pairing(D, p, delta) == unoriented
+    assert total_pairing(D, u) == unoriented
 
 
 def test_forged_total_without_a_congruent_pairing(monkeypatch):
@@ -446,7 +460,7 @@ def test_forged_total_without_a_congruent_pairing(monkeypatch):
     import talex.factorization
 
     f, p = F(7, 2), 7
-    u = _modp_factor(alexander(presentation(f)), p)
+    u = modp_factor(alexander(presentation(f)), p)
     G = P(3, 1, 0, 1)  # t^3 + t + 3, irreducible over Z
     assert not congruent(G, u, p)
     forged = (G * G.negate_t()).canonical()

@@ -1,0 +1,20 @@
+"""Properties of the package source as a whole."""
+
+import ast
+from pathlib import Path
+
+import talex
+
+
+def test_no_assert_statements_in_the_package():
+    # the certificates built at construction time must survive python -O,
+    # which strips assert statements; they raise AssertionError instead
+    found = []
+    for path in sorted(Path(talex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
