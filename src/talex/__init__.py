@@ -63,6 +63,6 @@ from .factorization import (
     torus_gh,
     total_pairing,
 )
-from .intfactor import int_poly_factor
+from .intfactor import FactorizationTooHard, int_poly_factor
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from .factorization import (
     NotSplit,
     conjecture_report,
 )
+from .intfactor import FactorizationTooHard
 from .knots import (
     PRESETS,
     TwoBridgeFraction,
@@ -271,7 +272,7 @@ def main(argv=None):
     except (NonExactDivision, CertificateFailure, CrossCheckMismatch) as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return CERTIFICATE_ERROR
-    except (NotSplit, DegreeLimitExceeded) as e:
+    except (NotSplit, DegreeLimitExceeded, FactorizationTooHard) as e:
         print(f"error: {e}", file=sys.stderr)
         return PRECONDITION_ERROR
     if isinstance(result, int):

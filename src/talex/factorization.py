@@ -13,7 +13,7 @@ or of splitness is a first-class outcome (expected off H(p)), not a
 crash.  Such knots are paired by total_pairing: the paper's
 congruence F = {Delta(t)/(1+t)}^n mod p names the factor
 (twisted.modp_factor), a quadratic Hensel lift recovers F from it, and
-sympy's integer factorization is the last resort.
+the pure-Python integer factorization of intfactor is the last resort.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .intfactor import int_poly_factor
+from .intfactor import _hensel_lift, _lift_modulus, int_poly_factor
 from .knots import TwoBridgeFraction, alexander, hp_expansion, presentation
 from .laurent import LaurentPoly, modp_unit_equal, gf_exact_div, gf_xgcd
 from .matrices import PolyRing, RingMatrix, ZZ_POLY, gamma_substitute
@@ -250,59 +250,15 @@ def total_pairing(D, u):
     exists.
 
     The paper's congruence F = u mod p names the factor to look for: the
-    Hensel lift of u proposes F (_hensel_pairing), and sympy's pairing,
-    oriented by u, runs only when the lift does not apply or its
-    candidate fails the certificate."""
+    Hensel lift of u proposes F (_hensel_pairing), and the pairing of the
+    integer factors of D (factor_pairing), oriented by u, runs only when
+    the lift does not apply or its candidate fails the certificate.
+    FactorizationTooHard from that factorization propagates."""
     if u is not None:
         F = _hensel_pairing(D, u)
         if F is not None:
             return F
     return factor_pairing(D, u)
-
-
-def _reduce(poly, m):
-    """Coefficients reduced into range(m)."""
-    return LaurentPoly(ZZ, poly.min_deg, [c % m for c in poly.coeffs])
-
-
-def _divmod_monic(a, h, m):
-    """(q, r) with a = q*h + r mod m and deg r < deg h, for polynomials
-    a and monic h over Z/m."""
-    dh = h.degree
-    hc = [0] * h.min_deg + list(h.coeffs)
-    rem = [0] * a.min_deg + list(a.coeffs)
-    nq = len(rem) - dh
-    if nq <= 0:
-        return LaurentPoly.zero(), _reduce(a, m)
-    q = [0] * nq
-    for k in range(nq - 1, -1, -1):
-        c = rem[k + dh] % m
-        if c:
-            q[k] = c
-            rem[k : k + dh + 1] = [x - c * y for x, y in zip(rem[k : k + dh + 1], hc)]
-    return (
-        LaurentPoly(ZZ, 0, q),
-        LaurentPoly(ZZ, 0, [x % m for x in rem[:dh]]),
-    )
-
-
-def _hensel_step(f, g, h, s, t, m, last):
-    """One quadratic Hensel step (von zur Gathen & Gerhard, Modern
-    Computer Algebra, Alg. 15.10): from f = g*h and s*g + t*h = 1 mod m,
-    h monic, to the same mod m^2.  The last step skips s and t."""
-    m2 = m * m
-    one = LaurentPoly.one()
-    e = _reduce(f - g * h, m2)
-    q, r = _divmod_monic(s * e, h, m2)
-    g = _reduce(g + t * e + q * g, m2)
-    h = _reduce(h + r, m2)
-    if last:
-        return g, h, s, t
-    b = _reduce(s * g + t * h - one, m2)
-    c, d = _divmod_monic(s * b, h, m2)
-    s = _reduce(s - d, m2)
-    t = _reduce(t - t * b - c * g, m2)
-    return g, h, s, t
 
 
 def _hensel_pairing(D, u):
@@ -335,14 +291,8 @@ def _hensel_pairing(D, u):
     if root is None:
         return None
     norm = isqrt(sum(c * c for c in D.coeffs)) + 1
-    bound = 2 * abs(lc) * (norm << u.degree)
-    g, h, s, t = (
-        LaurentPoly(ZZ, x.min_deg, x.coeffs) for x in (g0, v, s, t)
-    )
-    m = p
-    while m <= bound:
-        g, h, s, t = _hensel_step(D, g, h, s, t, m, last=m * m > bound)
-        m *= m
+    m = _lift_modulus(p, 2 * abs(lc) * (norm << u.degree))
+    g, _ = _hensel_lift(D, g0, v, s, t, m)
     half = m // 2
     lifted = [c - m if c > half else c for c in g.coeffs]
     content = gcd(*lifted)
@@ -353,8 +303,9 @@ def _hensel_pairing(D, u):
 
 
 def factor_pairing(D, u=None):
-    """An F with F(t)F(-t) = D (up to units) via sympy's integer
-    factorization; None when no pairing exists.
+    """An F with F(t)F(-t) = D (up to units) via the integer
+    factorization of D (intfactor.int_poly_factor); None when no pairing
+    exists.
 
     Each irreducible q is paired with its t -> -t image, and any
     orientation of the pairs gives a valid F.  Given the mod-p factor u
@@ -458,11 +409,12 @@ class ConjectureReport:
     remark53: bool | None
 
 
+@lru_cache(maxsize=None)
 def torus_q_probe(p):
     """Does the torus factor q(t) have the conjectured closed form
     (1+t)^n Delta_{K(1/p)}(t)^{n-1}, up to units and the t -> -t swap?
     The "remark53" report field (a fixed wire-format key) carries the
-    verdict."""
+    verdict.  It depends on p only, so it is decided once per p."""
     n = (p - 1) // 2
     q = _torus_factor(p)
     delta = alexander(presentation(TwoBridgeFraction(p, 1)))

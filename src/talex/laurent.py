@@ -12,7 +12,8 @@ through Kronecker substitution (packing the coefficient vector into a
 single Python bigint), which is what keeps the census-scale
 computations within budget; Z[omega]-coefficient products use a
 bivariate packing of the same kind, and GF(p) products pack the
-residues as integers and reduce the product mod p.
+nonnegative residues as arrays of machine words and reduce the product
+mod p.
 
 Packed digits are whole bytes wide and balanced (-2**(w-1) <= digit <
 2**(w-1) at width w), so packing and unpacking are byte joins and
@@ -28,6 +29,8 @@ from __future__ import annotations
 from .rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
 
 import os
+import sys
+from array import array
 from fractions import Fraction
 
 _SCHOOLBOOK_CUTOFF = 24
@@ -131,6 +134,43 @@ def _kron_div_int(num, den):
         width *= 2
         if width > max(1 << 22, 16 * cap):
             return None
+
+
+def _word_code(bound):
+    """The array type code of unsigned machine words that hold every
+    integer in range(bound), or None above 64 bits."""
+    return "I" if bound < 1 << 32 else "Q" if bound < 1 << 64 else None
+
+
+def _pack_words(digits, code):
+    """sum of d_i * 2**(i*w) for nonnegative digits that fit the words of
+    array type ``code`` (w bits each): one array conversion."""
+    words = array(code, digits)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _unpack_words(value, code, count):
+    """The ``count`` lowest w-bit digits of a nonnegative value (inverse
+    of _pack_words)."""
+    words = array(code)
+    words.frombytes(value.to_bytes(count * words.itemsize, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _kron_mul_gf(a, b, p):
+    """The product of coefficient vectors with entries in range(p),
+    reduced mod p.  The product's digits are nonnegative, so when they
+    fit 32 or 64 bits the packing and unpacking are machine-word array
+    conversions instead of per-digit byte joins."""
+    code = _word_code((p - 1) ** 2 * min(len(a), len(b)) + 1)
+    if code is None:
+        return [c % p for c in _kron_mul_int(a, b)]
+    prod = _pack_words(a, code) * _pack_words(b, code)
+    return [c % p for c in _unpack_words(prod, code, len(a) + len(b) - 1)]
 
 
 def _kron_mul_quot(a, b, ring):
@@ -303,8 +343,7 @@ class LaurentPoly:
         if isinstance(ring, QuotientRing) and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
             return LaurentPoly(ring, lo, _kron_mul_quot(a, b, ring))
         if isinstance(ring, GFp) and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
-            p = ring.p
-            return LaurentPoly(ring, lo, [c % p for c in _kron_mul_int(a, b)])
+            return LaurentPoly(ring, lo, _kron_mul_gf(a, b, ring.p))
         out = [ring.zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if ring.is_zero(x):

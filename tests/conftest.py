@@ -18,3 +18,22 @@ def random_poly(rng, max_deg=8, max_coef=9, laurent=True):
     if not any(coeffs):
         coeffs[rng.randrange(n)] = 1
     return LaurentPoly.from_int_coeffs(coeffs, min_deg=lo)
+
+
+def swinnerton_dyer(primes):
+    """The Swinnerton-Dyer polynomial: the product of t + sum(+-sqrt(q))
+    over all sign choices, q in ``primes``.  It is irreducible over Z of
+    degree 2^k, and its factors mod every prime have degree at most 2.
+    Each square root is adjoined by S(t) -> A^2 - q*B^2, where
+    S(t + sqrt(q)) = A(t) + sqrt(q)*B(t)."""
+    t = LaurentPoly.t_power(1)
+    s = t
+    for q in primes:
+        a = b = LaurentPoly.zero()
+        power_a, power_b = LaurentPoly.one(), LaurentPoly.zero()  # (t + sqrt q)^k
+        for k in range(s.degree + 1):
+            c = s.coeff(k)
+            a, b = a + power_a.scale(c), b + power_b.scale(c)
+            power_a, power_b = power_a * t + power_b.scale(q), power_a + power_b * t
+        s = a * a - (b * b).scale(q)
+    return s

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import swinnerton_dyer
 from talex.cli import main
 from talex.laurent import LaurentPoly
 
@@ -116,6 +117,18 @@ def test_exit_codes(capsys):
     assert run(capsys, "kmeta", "1/5", "-p", "7", "-k", "-2")[0] == 2
     assert run(capsys, "alexander", "1/3")[0] == 0
     assert run(capsys, "verify", "no-such-suite")[0] == 1
+
+
+def test_factorization_above_the_cap_is_a_precondition_error(capsys, monkeypatch):
+    # a total whose recombination would exceed the cap (S5: 16 or more
+    # factors mod every prime) is refused with exit code 2, not a traceback
+    import talex.factorization
+
+    s5 = swinnerton_dyer([2, 3, 5, 7, 11])
+    monkeypatch.setattr(talex.factorization, "dihedral_total", lambda f, p: s5)
+    code, _, err = run(capsys, "dihedral", "2/7", "-p", "7", "--factor")
+    assert code == 2
+    assert "recombination cap" in err
 
 
 def test_factor_off_hp_exits_zero(capsys):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import P, Pstep, prod
+from factor_oracle import sympy_int_poly_factor
 from talex.factorization import (
     CertificateFailure,
     NotSplit,
@@ -375,15 +376,19 @@ def pair_classes(F):
 
 @pytest.fixture
 def no_sympy(monkeypatch):
+    # refuses the fallback pairing by integer factorization
     import talex.factorization
 
     def refuse(poly):
-        raise AssertionError("the sympy pairing ran")
+        raise AssertionError("the integer-factorization pairing ran")
 
     monkeypatch.setattr(talex.factorization, "int_poly_factor", refuse)
 
 
-def test_hensel_pairing_agrees_with_the_sympy_oracle():
+def test_hensel_pairing_agrees_with_the_sympy_oracle(monkeypatch):
+    import talex.factorization
+
+    monkeypatch.setattr(talex.factorization, "int_poly_factor", sympy_int_poly_factor)
     rng = random.Random(2009)
     lifted = 0
     while lifted < 12:
@@ -426,8 +431,9 @@ def test_103_155_pairs_by_the_lift(no_sympy):
 
 
 def test_sympy_pairing_is_oriented_by_the_modp_factor():
-    # on these knots the pairing that keeps each factor as sympy lists
-    # it is valid but fails the congruence; oriented by u it meets it
+    # on these knots the pairing that keeps each factor as the integer
+    # factorization lists it (in sympy's order) is valid but fails the
+    # congruence; oriented by u it meets it
     for pair, p in [((399, 176), 7), ((345, 208), 5)]:
         D = dihedral_total(F(*pair), p)
         u = modp_factor(alexander(presentation(F(*pair))), p)
@@ -481,13 +487,40 @@ def test_torus_factor_is_built_once_per_p(monkeypatch):
         talex.factorization, "torus_gh", lambda p: calls.append(p) or build(p)
     )
     _torus_factor.cache_clear()
+    torus_q_probe.cache_clear()
     try:
         for pair, p in [((85, 19), 5), ((7, 2), 7), ((9, 4), 3), ((45, 16), 5)]:
             conjecture_report(F(*pair), p)
         assert torus_q_probe(5) and torus_q_probe(7)
     finally:
         _torus_factor.cache_clear()
+        torus_q_probe.cache_clear()
     assert sorted(calls) == [3, 5, 7]
+
+
+def test_torus_probe_is_built_once_per_p(monkeypatch):
+    # the probe needs K(1/p)'s presentation, Alexander polynomial and
+    # (1+t)^n Delta^(n-1), which depend on p only
+    import talex.factorization
+
+    calls = []
+    build = talex.factorization.presentation
+
+    def recording_presentation(f):
+        if f.beta == 1:
+            calls.append(f.alpha)
+        return build(f)
+
+    conjecture_report(F(7, 2), 7)  # the torus image and factor, cached per p
+    torus_q_probe.cache_clear()
+    monkeypatch.setattr(talex.factorization, "presentation", recording_presentation)
+    try:
+        first = conjecture_report(F(7, 2), 7)
+        second = conjecture_report(F(21, 8), 7)
+    finally:
+        torus_q_probe.cache_clear()
+    assert first.remark53 == second.remark53
+    assert calls.count(7) <= 1
 
 
 def test_torus_image_is_built_once_per_p(monkeypatch):

@@ -10,9 +10,22 @@ import pytest
 
 import talex
 
-from conftest import P, Pstep, prod, random_poly
-from talex.intfactor import int_poly_factor
+from conftest import P, Pstep, prod, random_poly, swinnerton_dyer
+from factor_oracle import sympy_gcd, sympy_int_poly_factor
+from talex.factorization import _hensel_pairing, factor_pairing
+from talex.intfactor import (
+    FactorizationTooHard,
+    _gf_ddf,
+    _gf_squarefree,
+    _heu_gcd,
+    _primitive,
+    _prs_gcd,
+    int_poly_factor,
+)
+from talex.knots import TwoBridgeFraction, alexander, presentation
 from talex.laurent import LaurentPoly
+from talex.twisted import dihedral_total, modp_factor
+from talex.verify import Item, ItemError, run_suite
 
 
 def reassemble(content, factors):
@@ -59,9 +72,10 @@ def test_product_reproduces_input_random(rng):
 
 
 def test_factors_certified_irreducible_by_refactoring():
+    # irreducibility is certified by the independent sympy factorization
     _, factors = int_poly_factor(prod([P(1, 0, -1), Pstep(3, 1, -1, 1)]))
     for q, _ in factors:
-        _, sub = int_poly_factor(q)
+        _, sub = sympy_int_poly_factor(q)
         assert len(sub) == 1 and sub[0][1] == 1
 
 
@@ -70,26 +84,207 @@ def test_rejects_zero_and_wrong_ring():
         int_poly_factor(LaurentPoly.zero())
 
 
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this talex."""
+    path = os.pathsep.join([str(Path(talex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_import_talex_leaves_sympy_unloaded():
-    # sympy is loaded on the first factorization, not by the import
-    code = """
+    # neither the import nor a factorization loads sympy
+    run_fresh("""
 import sys, talex
 assert "sympy" not in sys.modules
 P = talex.LaurentPoly.from_int_coeffs
 assert talex.int_poly_factor(P([-1, 0, 1])) == (1, [(P([-1, 1]), 1), (P([1, 1]), 1)])
-"""
-    path = os.pathsep.join([str(Path(talex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))
+assert "sympy" not in sys.modules
+""")
 
 
 def test_lifted_conjecture_report_leaves_sympy_unloaded():
     # 341/405 at p=5 does not split; the Hensel lift pairs it, so the
-    # report never reaches the sympy factorization
-    code = """
+    # report never reaches the integer factorization
+    run_fresh("""
 import sys, talex
 report = talex.conjecture_report(talex.TwoBridgeFraction(405, 341), 5)
 assert not report.split and report.F is not None and report.modp_f
 assert "sympy" not in sys.modules
-"""
-    path = os.pathsep.join([str(Path(talex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))
+""")
+
+
+def test_fallback_conjecture_reports_leave_sympy_unloaded():
+    # 319/497 (a census knot) and 5/217, the costliest fallback knot of
+    # the survey, at p=7: u and u(-t) share factors mod 7, so the lift
+    # declines and the integer factorization pairs them
+    run_fresh("""
+import sys, talex
+from talex.factorization import _hensel_pairing
+for alpha, beta in [(497, 319), (217, 5)]:
+    f = talex.TwoBridgeFraction(alpha, beta)
+    report = talex.conjecture_report(f, 7)
+    u = talex.modp_factor(talex.alexander(talex.presentation(f)), 7)
+    assert not report.split and _hensel_pairing(report.D, u) is None
+    assert (report.F * report.F.negate_t()).canonical() == report.D
+    assert report.modp_f
+assert "sympy" not in sys.modules
+""")
+
+
+# knots whose pairing falls back to the integer factorization, all at p=7
+CENSUS_FALLBACK = [(217, 81), (469, 293), (497, 319)]
+
+
+def knot_total(alpha, beta, p):
+    """D(t) and the mod-p factor u of the knot alpha/beta at p."""
+    f = TwoBridgeFraction(alpha, beta)
+    return dihedral_total(f, p), modp_factor(alexander(presentation(f)), p)
+
+
+def test_census_fallback_totals_match_the_oracle():
+    for alpha, beta in CENSUS_FALLBACK:
+        D, u = knot_total(alpha, beta, 7)
+        assert _hensel_pairing(D, u) is None
+        assert int_poly_factor(D) == sympy_int_poly_factor(D)
+
+
+# (alpha, beta, p): every knot with p | alpha <= 301, p in {3, 5, 7, 11},
+# taken once up to mirror image (beta the least of beta, alpha - beta and
+# their inverses mod alpha), that does not split and on which the Hensel
+# lift declines (none at p = 3).  Left out are the six on which the sympy
+# oracle alone takes over a second; 5/217 at p = 7 is one of them and is
+# paired above without the oracle.
+SURVEY_FALLBACK = [
+    (25, 7, 5), (25, 9, 5), (35, 11, 5), (45, 14, 5), (65, 7, 5), (75, 7, 5),
+    (75, 29, 5), (85, 26, 5), (85, 29, 5), (95, 13, 5), (95, 14, 5),
+    (95, 17, 5), (95, 23, 5), (95, 31, 5), (95, 39, 5), (105, 31, 5),
+    (115, 13, 5), (115, 14, 5), (115, 16, 5), (115, 17, 5), (115, 26, 5),
+    (115, 34, 5), (115, 49, 5), (125, 16, 5), (125, 17, 5), (125, 19, 5),
+    (125, 29, 5), (135, 13, 5), (135, 16, 5), (135, 31, 5), (135, 32, 5),
+    (135, 44, 5), (145, 13, 5), (145, 17, 5), (145, 23, 5), (145, 26, 5),
+    (145, 37, 5), (145, 38, 5), (145, 49, 5), (155, 9, 5), (155, 18, 5),
+    (155, 23, 5), (155, 34, 5), (155, 51, 5), (155, 54, 5), (165, 13, 5),
+    (165, 14, 5), (165, 23, 5), (165, 71, 5), (175, 17, 5), (175, 23, 5),
+    (175, 26, 5), (175, 33, 5), (175, 37, 5), (175, 54, 5), (175, 69, 5),
+    (185, 11, 5), (185, 14, 5), (185, 16, 5), (185, 27, 5), (185, 28, 5),
+    (185, 32, 5), (185, 34, 5), (185, 56, 5), (185, 71, 5), (185, 78, 5),
+    (195, 11, 5), (195, 16, 5), (195, 43, 5), (195, 53, 5), (195, 64, 5),
+    (195, 82, 5), (205, 7, 5), (205, 9, 5), (205, 16, 5), (205, 18, 5),
+    (205, 24, 5), (205, 27, 5), (205, 46, 5), (205, 69, 5), (205, 78, 5),
+    (205, 81, 5), (215, 17, 5), (215, 23, 5), (215, 49, 5), (215, 53, 5),
+    (215, 64, 5), (215, 66, 5), (215, 69, 5), (215, 71, 5), (215, 82, 5),
+    (225, 34, 5), (225, 62, 5), (225, 74, 5), (225, 89, 5), (225, 104, 5),
+    (235, 14, 5), (235, 23, 5), (235, 27, 5), (235, 37, 5), (235, 38, 5),
+    (235, 43, 5), (235, 61, 5), (235, 66, 5), (235, 69, 5), (245, 11, 5),
+    (245, 17, 5), (245, 23, 5), (245, 27, 5), (245, 33, 5), (245, 34, 5),
+    (245, 38, 5), (245, 47, 5), (245, 54, 5), (245, 67, 5), (245, 101, 5),
+    (255, 11, 5), (255, 14, 5), (255, 19, 5), (255, 46, 5), (255, 53, 5),
+    (255, 88, 5), (255, 89, 5), (255, 92, 5), (255, 109, 5), (265, 27, 5),
+    (265, 37, 5), (265, 41, 5), (265, 67, 5), (265, 73, 5), (265, 89, 5),
+    (265, 91, 5), (265, 109, 5), (275, 16, 5), (275, 24, 5), (275, 36, 5),
+    (275, 37, 5), (275, 42, 5), (275, 47, 5), (275, 49, 5), (275, 64, 5),
+    (275, 91, 5), (275, 96, 5), (275, 109, 5), (285, 16, 5), (285, 23, 5),
+    (285, 83, 5), (285, 86, 5), (285, 91, 5), (295, 16, 5), (295, 27, 5),
+    (295, 32, 5), (295, 33, 5), (295, 43, 5), (295, 51, 5), (295, 54, 5),
+    (295, 64, 5), (295, 69, 5), (295, 78, 5), (295, 104, 5), (295, 108, 5),
+    (295, 136, 5), (21, 8, 7), (49, 18, 7), (63, 10, 7), (77, 10, 7),
+    (91, 8, 7), (91, 19, 7), (91, 20, 7), (91, 25, 7), (91, 32, 7),
+    (105, 17, 7), (119, 11, 7), (119, 13, 7), (119, 18, 7), (119, 22, 7),
+    (119, 23, 7), (119, 37, 7), (119, 48, 7), (133, 8, 7), (133, 15, 7),
+    (133, 18, 7), (133, 26, 7), (147, 11, 7), (147, 25, 7), (161, 11, 7),
+    (161, 33, 7), (161, 36, 7), (161, 37, 7), (161, 38, 7), (161, 64, 7),
+    (175, 17, 7), (175, 76, 7), (189, 11, 7), (189, 17, 7), (189, 20, 7),
+    (189, 22, 7), (189, 25, 7), (189, 32, 7), (189, 37, 7), (189, 40, 7),
+    (189, 62, 7), (189, 67, 7), (203, 8, 7), (203, 10, 7), (203, 18, 7),
+    (203, 43, 7), (203, 44, 7), (203, 46, 7), (203, 47, 7), (203, 57, 7),
+    (203, 73, 7), (217, 10, 7), (217, 33, 7), (217, 47, 7), (217, 59, 7),
+    (217, 67, 7), (217, 75, 7), (217, 85, 7), (217, 92, 7), (231, 17, 7),
+    (231, 26, 7), (231, 43, 7), (231, 74, 7), (245, 8, 7), (245, 13, 7),
+    (245, 24, 7), (245, 39, 7), (245, 74, 7), (245, 99, 7), (259, 19, 7),
+    (259, 32, 7), (259, 38, 7), (259, 59, 7), (259, 94, 7), (259, 104, 7),
+    (273, 19, 7), (273, 37, 7), (273, 38, 7), (273, 83, 7), (273, 85, 7),
+    (273, 88, 7), (287, 15, 7), (287, 17, 7), (287, 45, 7), (287, 55, 7),
+    (287, 58, 7), (287, 79, 7), (287, 93, 7), (287, 106, 7), (301, 18, 7),
+    (301, 57, 7), (301, 79, 7), (301, 89, 7), (301, 93, 7), (301, 120, 7),
+    (55, 12, 11), (55, 16, 11), (55, 19, 11), (77, 5, 11), (77, 25, 11),
+    (99, 19, 11), (121, 36, 11), (121, 46, 11), (143, 28, 11), (143, 45, 11),
+    (165, 17, 11), (187, 20, 11), (187, 63, 11), (209, 12, 11), (209, 29, 11),
+    (209, 39, 11), (209, 67, 11), (209, 69, 11), (231, 89, 11), (231, 95, 11),
+    (253, 20, 11), (253, 43, 11), (253, 68, 11), (253, 72, 11), (253, 78, 11),
+    (275, 21, 11), (275, 28, 11), (275, 38, 11), (275, 48, 11), (275, 49, 11),
+    (275, 62, 11), (275, 67, 11), (275, 96, 11), (275, 104, 11), (297, 16, 11),
+    (297, 23, 11), (297, 92, 11),
+]
+
+
+def test_survey_fallback_sample_matches_the_sympy_pairing(monkeypatch):
+    import talex.factorization
+
+    for alpha, beta, p in random.Random(2009).sample(SURVEY_FALLBACK, 40):
+        D, u = knot_total(alpha, beta, p)
+        assert _hensel_pairing(D, u) is None, (alpha, beta, p)
+        oracle = sympy_int_poly_factor(D)
+        assert int_poly_factor(D) == oracle, (alpha, beta, p)
+        ours = factor_pairing(D, u)
+        with monkeypatch.context() as patch:
+            patch.setattr(talex.factorization, "int_poly_factor", lambda _: oracle)
+            assert factor_pairing(D, u) == ours, (alpha, beta, p)
+
+
+def test_seeded_products_match_the_oracle():
+    # content, a t^k shift, repeated factors, a mirror pair q(t)q(-t),
+    # and (1-t)^3(1+t)^3 as in the fallback totals
+    rng = random.Random(11)
+    cube = (P(1, 1) * P(1, -1)) ** 3
+    for _ in range(40):
+        parts = [random_poly(rng, max_deg=5, max_coef=6, laurent=False) for _ in range(3)]
+        f = LaurentPoly.const(rng.choice([-12, -3, -1, 1, 2, 6]))
+        for q in parts:
+            f = f * q ** rng.randrange(1, 4)
+        f = f * parts[0].negate_t()
+        if rng.random() < 0.5:
+            f = f * cube
+        f = f.shift(rng.randrange(-3, 4))
+        assert int_poly_factor(f) == sympy_int_poly_factor(f)
+
+
+def test_swinnerton_dyer_s4_is_irreducible():
+    # degree 16 and irreducible, but 8 or more factors mod every prime
+    s4 = swinnerton_dyer([2, 3, 5, 7])
+    assert s4.degree == 16
+    for ell in (11, 13, 17, 19, 23, 29):
+        reduced = [c % ell for c in s4.coeffs]
+        assert _gf_squarefree(reduced, ell)
+        assert sum((len(g) - 1) // d for g, d in _gf_ddf(reduced, ell)) >= 8
+    assert int_poly_factor(s4) == (1, [(s4, 1)]) == sympy_int_poly_factor(s4)
+
+
+def test_swinnerton_dyer_s5_hits_the_recombination_cap():
+    # degree 32 with 16 or more factors mod every prime: above the cap
+    with pytest.raises(FactorizationTooHard):
+        int_poly_factor(swinnerton_dyer([2, 3, 5, 7, 11]))
+
+
+def test_a_report_that_hits_the_cap_is_an_error_not_a_finding(monkeypatch):
+    import talex.factorization
+
+    s5 = swinnerton_dyer([2, 3, 5, 7, 11])
+    monkeypatch.setattr(talex.factorization, "dihedral_total", lambda f, p: s5)
+    item = Item(
+        "factorization finding for 2/7 p=7",
+        lambda: talex.conjecture_report(TwoBridgeFraction(7, 2), 7).split,
+        advisory=True,
+    )
+    [(_, outcome, _)], all_ok = run_suite([item])
+    assert isinstance(outcome, ItemError) and outcome.kind == "FactorizationTooHard"
+    assert not all_ok
+
+
+def test_heuristic_gcd_and_prs_agree_with_the_oracle(rng):
+    for _ in range(30):
+        common, a, b = (random_poly(rng, max_deg=4, laurent=False) for _ in range(3))
+        a, b = (x * common for x in (a, b))
+        a, b = (_primitive(x.shift(-x.min_deg)) for x in (a, b))
+        expected = sympy_gcd(a, b)
+        assert _prs_gcd(a, b) == expected
+        heuristic = _heu_gcd(a, b)
+        assert heuristic is None or heuristic == expected

@@ -279,10 +279,11 @@ def test_quotient_coeff_kronecker_mul():
         assert a * b == _schoolbook(a, b)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 101])
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 65537])
 def test_gfp_kronecker_mul_matches_schoolbook(p):
-    # above the schoolbook cutoff GF(p) products pack the residues as
-    # integers; the reference multiplies residue by residue
+    # above the schoolbook cutoff GF(p) products pack the residues into
+    # 32-bit words, or 64-bit ones at p = 65537; the reference multiplies
+    # residue by residue
     gf = GFp(p)
     rng = random.Random(p)
 

@@ -18,3 +18,21 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_no_module_imports_sympy():
+    # the runtime has no dependencies: sympy serves only the tests, as an
+    # oracle; imports nested in functions count too
+    found = []
+    for path in sorted(Path(talex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
