@@ -35,7 +35,13 @@ from .representations import (
     xy_power_table,
 )
 from .rings import ZZ, NonExactDivision
-from .twisted import dihedral_total, modp_factor, wada
+from .twisted import (
+    _dihedral_total,
+    _require_divides,
+    dihedral_total,
+    modp_factor,
+    wada,
+)
 from .words import fox_derivative, rep_evaluate
 
 
@@ -156,10 +162,14 @@ def extract_GH(f, p):
     det Fox(R0)^Phi, is split-checked (directly, then after peeling a
     y*t unit).  Raises NonExactDivision or NotSplit for knots that do
     not admit the factorization route (expected outside H(p))."""
-    if f.alpha % p != 0:
-        raise ValueError(f"p={p} does not divide alpha={f.alpha}")
+    _require_divides(f, p)
     pres = presentation(f)
-    A = rep_evaluate(fox_derivative(pres.relators[0], 0, dihedral_rep(pres, p, "xi")))
+    return _extract_gh(f, p, pres, dihedral_rep(pres, p, "xi"))
+
+
+def _extract_gh(f, p, pres, rep):
+    """extract_GH from f's presentation and its xi rep at p."""
+    A = rep_evaluate(fox_derivative(pres.relators[0], 0, rep))
     det_b, adj_b = _torus_image(p)
     N = (A * adj_b).map_entries(lambda e: e.exact_div(det_b))
     # In this relator convention the torus knot itself gives N = identity
@@ -229,11 +239,18 @@ def f_polynomial(f, p, *, D=None):
 
     A caller that already holds D = dihedral_total(f, p) passes it in."""
     extra = extract_GH(f, p)
+    if D is None:
+        D = dihedral_total(f, p)
+    return _certified_factorization(f, p, extra, D)
+
+
+def _certified_factorization(f, p, extra, D):
+    """f_polynomial from the split form ``extra`` of extract_GH and D."""
     q = _torus_factor(p)
     fp = _split_determinant(extra, p)
     F = _lex_min_rep(q * fp)
     cert = FactorizationCertificate(
-        D=dihedral_total(f, p) if D is None else D,
+        D=D,
         q=q.canonical(),
         f=_lex_min_rep(fp),
         F=F,
@@ -428,15 +445,18 @@ def conjecture_report(f, p):
     """The full per-knot report: constructive factorization (with the
     pairing route of total_pairing as the fallback), the H(p) verdict
     ("yes" with an expansion, "no" when no Schubert form has one), mod-p
-    congruences, and the torus-part probe.  D(t) and Delta(t) are
-    computed once, and so is the mod-p factor u that the pairing and
-    both congruences read."""
-    D = dihedral_total(f, p)
-    u = modp_factor(alexander(presentation(f)), p)
+    congruences, and the torus-part probe.  The presentation, its xi
+    rep, D(t) and Delta(t) are built once, and so is the mod-p factor u
+    that the pairing and both congruences read."""
+    _require_divides(f, p)
+    pres = presentation(f)
+    rep = dihedral_rep(pres, p, "xi")
+    D = _dihedral_total(pres, rep, p)
+    u = modp_factor(alexander(pres), p)
     split_ok = False
     q = fpoly = F = None
     try:
-        cert = f_polynomial(f, p, D=D)
+        cert = _certified_factorization(f, p, _extract_gh(f, p, pres, rep), D)
         split_ok = True
         q, fpoly, F = cert.q, cert.f, cert.F
     except (NonExactDivision, NotSplit):

@@ -10,8 +10,11 @@ Everything is exact; there is no floating point anywhere.  Large
 integer-coefficient multiplications and exact divisions are routed
 through Kronecker substitution (packing the coefficient vector into a
 single Python bigint), which is what keeps the census-scale
-computations within budget; Z[omega]-coefficient products use a
-bivariate packing of the same kind, and GF(p) products pack the
+computations within budget.  Z[omega]-coefficient products of every
+size go coordinate-wise: each of the d integer coordinate vectors is
+packed once, each pair of coordinates takes one bigint product, and
+the unreduced slots fold mod the modulus while still packed, so no
+ring product runs per coefficient.  GF(p) products pack the
 nonnegative residues as arrays of machine words and reduce the product
 mod p.
 
@@ -173,30 +176,40 @@ def _kron_mul_gf(a, b, p):
     return [c % p for c in _unpack_words(prod, code, len(a) + len(b) - 1)]
 
 
-def _kron_mul_quot(a, b, ring):
+def _quot_mul(a, b, ring):
+    """The product of coefficient vectors over ring = Z[z]/(m), coordinate
+    by coordinate: each of the d integer coordinate vectors of a and b
+    is packed once, each pair of coordinates (i, j) takes one bigint
+    product into the unreduced slot i + j, and slots d .. 2d-2 fold into
+    slots 0 .. d-1 through the table z**s mod m while still packed.  The
+    width bounds the reduced coefficients, so one unpack per coordinate
+    finishes the product."""
     d = ring.degree
-    slot = 2 * d - 1
-    amax = max(max(abs(x) for x in c) if any(c) else 0 for c in a)
-    bmax = max(max(abs(x) for x in c) if any(c) else 0 for c in b)
-    bound = max(amax, 1) * max(bmax, 1) * min(len(a), len(b)) * d
+    cols_a = list(zip(*a))
+    cols_b = list(zip(*b))
+    amax = max(max(max(c), -min(c)) for c in cols_a)
+    bmax = max(max(max(c), -min(c)) for c in cols_b)
+    bound = amax * bmax * min(len(a), len(b)) * d * ring.fold_norm
     width = _byte_width(bound.bit_length() + 2)
-
-    def pack(coeffs):
-        digits = []
-        pad = (0,) * (slot - d)
-        for c in coeffs:
-            digits.extend(c)
-            digits.extend(pad)
-        return _pack(digits, width)
-
-    prod = pack(a) * pack(b)
-    count = (len(a) + len(b) - 1) * slot
-    digits = _unpack(prod, width, count)
-    out = []
-    for k in range(len(a) + len(b) - 1):
-        block = digits[k * slot : (k + 1) * slot]
-        out.append(ring.from_coeffs(block))
-    return out
+    packed_b = [_pack(c, width) if any(c) else 0 for c in cols_b]
+    slots = [0] * (2 * d - 1)
+    for i, c in enumerate(cols_a):
+        if any(c):
+            x = _pack(c, width)
+            for j, y in enumerate(packed_b):
+                if y:
+                    slots[i + j] += x * y
+    powers = ring.z_powers
+    for s in range(d, 2 * d - 1):
+        v = slots[s]
+        if v:
+            for r, w in enumerate(powers[s]):
+                if w:
+                    slots[r] += w * v
+    count = len(a) + len(b) - 1
+    return list(
+        zip(*[_unpack(v, width, count) if v else [0] * count for v in slots[:d]])
+    )
 
 
 class LaurentPoly:
@@ -340,8 +353,8 @@ class LaurentPoly:
         lo = self.min_deg + other.min_deg
         if ring is ZZ and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
             return LaurentPoly(ZZ, lo, _kron_mul_int(a, b))
-        if isinstance(ring, QuotientRing) and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
-            return LaurentPoly(ring, lo, _kron_mul_quot(a, b, ring))
+        if isinstance(ring, QuotientRing):
+            return LaurentPoly(ring, lo, _quot_mul(a, b, ring))
         if isinstance(ring, GFp) and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
             return LaurentPoly(ring, lo, _kron_mul_gf(a, b, ring.p))
         out = [ring.zero] * (len(a) + len(b) - 1)

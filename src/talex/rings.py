@@ -18,6 +18,7 @@ between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class NonExactDivision(ArithmeticError):
@@ -115,9 +116,24 @@ class QuotientRing:
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         self.modulus = modulus
-        self.degree = len(modulus) - 1
-        self.zero = (0,) * self.degree
+        d = self.degree = len(modulus) - 1
+        self.zero = (0,) * d
         self.one = self.from_int(1)
+        # z**s mod m for s = 0 .. 2d-2, the exponents that a product of
+        # two residues reaches: z**(s+1) is z**s shifted up, with z**d
+        # replaced by -(m_0 + m_1 z + ... + m_{d-1} z**(d-1))
+        powers = [tuple(int(r == s) for r in range(d)) for s in range(d)]
+        for _ in range(d - 1):
+            prev = powers[-1]
+            top = prev[-1]
+            powers.append(
+                tuple((prev[r - 1] if r else 0) - top * modulus[r] for r in range(d))
+            )
+        self.z_powers = tuple(powers)
+        # the largest sum of |z**s mod m| over s in one coordinate: folding
+        # unreduced product coefficients of size at most c leaves reduced
+        # ones of size at most c * fold_norm
+        self.fold_norm = max(sum(abs(w[r]) for w in powers) for r in range(d))
 
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and self.modulus == other.modulus
@@ -244,33 +260,25 @@ class QuotientRing:
             s0, s1 = s1, trim(s_next)
 
     def divider(self, b):
-        """The map a -> a / b for one divisor b used many times: b is
-        inverted over Q once, and each call raises NonExactDivision
-        unless its quotient is integral."""
+        """The map a -> a / b for one divisor b used many times.
+
+        b is inverted over Q once, as an integer residue adj over a
+        positive common denominator L (1/b = adj/L), so each call is one
+        integer product a*adj and a divmod by L per coordinate; it raises
+        NonExactDivision exactly when a/b is not integral."""
         inv = self.inv_rational(b)
-        d = self.degree
-        m = self.modulus
+        den = lcm(*(c.denominator for c in inv))
+        adj = tuple(int(c * den) for c in inv)
 
         def divide(a):
-            prod = [Fraction(0)] * (2 * d - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(inv):
-                        if y:
-                            prod[i + j] += x * y
-            for k in range(len(prod) - 1, d - 1, -1):
-                c = prod[k]
-                if c:
-                    prod[k] = Fraction(0)
-                    for j in range(d):
-                        prod[k - d + j] -= c * m[j]
             out = []
-            for c in prod[:d]:
-                if c.denominator != 1:
+            for c in self.mul(a, adj):
+                q, r = divmod(c, den)
+                if r:
                     raise NonExactDivision(
                         "quotient-ring division is not integral", remainder=a
                     )
-                out.append(int(c))
+                out.append(q)
             return tuple(out)
 
         return divide

@@ -77,7 +77,11 @@ def dihedral_total(f, p):
     determinant."""
     _require_divides(f, p)
     pres = presentation(f)
-    rep = dihedral_rep(pres, p, "xi")
+    return _dihedral_total(pres, dihedral_rep(pres, p, "xi"), p)
+
+
+def _dihedral_total(pres, rep, p):
+    """dihedral_total from a knot's presentation and its xi rep at p."""
     quotient = wada(pres, rep)
     n = (p - 1) // 2
     M = gamma_substitute(quotient, omega_companion(n))

@@ -125,7 +125,7 @@ def test_factorization_above_the_cap_is_a_precondition_error(capsys, monkeypatch
     import talex.factorization
 
     s5 = swinnerton_dyer([2, 3, 5, 7, 11])
-    monkeypatch.setattr(talex.factorization, "dihedral_total", lambda f, p: s5)
+    monkeypatch.setattr(talex.factorization, "_dihedral_total", lambda pres, rep, p: s5)
     code, _, err = run(capsys, "dihedral", "2/7", "-p", "7", "--factor")
     assert code == 2
     assert "recombination cap" in err
@@ -161,11 +161,11 @@ def test_verify_census_fails_a_knot_with_an_expansion_that_does_not_split(
         keep = (" for 5/33 p=3", " for 53/57 p=3")
         return [i for i in verify.census_suite() if i.name.endswith(keep)]
 
-    def not_split(f, p, **kw):
+    def not_split(*args, **kw):
         raise NotSplit("injected")
 
     monkeypatch.setattr("talex.cli.SUITES", dict(verify.SUITES, census=two_samples))
-    monkeypatch.setattr("talex.factorization.f_polynomial", not_split)
+    monkeypatch.setattr("talex.factorization._extract_gh", not_split)
     code, out, _ = run(capsys, "verify", "census")
     assert code == 1
     assert "FAIL     factorization finding for 5/33 p=3" in out

@@ -259,7 +259,9 @@ def test_conjecture_report_builds_each_input_once(monkeypatch, pair, p, splits):
     import talex.factorization
     import talex.twisted
 
+    knot = TwoBridgeFraction(*pair)
     calls = {"D": 0, "torus": 0}
+    built = {"presentation": [], "rep": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -268,17 +270,36 @@ def test_conjecture_report_builds_each_input_once(monkeypatch, pair, p, splits):
 
         return wrapper
 
+    # every D(t) is built by _dihedral_total, dihedral_total's included
     for module in (talex.factorization, talex.twisted):
         monkeypatch.setattr(
-            module, "dihedral_total", counted("D", module.dihedral_total)
+            module, "_dihedral_total", counted("D", module._dihedral_total)
         )
     monkeypatch.setattr(
         talex.factorization, "torus_gh", counted("torus", talex.factorization.torus_gh)
     )
-    report = conjecture_report(F(*pair), p)
+    build_pres = talex.factorization.presentation
+    build_rep = talex.factorization.dihedral_rep
+
+    def recording_presentation(f):
+        pres = build_pres(f)
+        if f == knot:
+            built["presentation"].append(pres)
+        return pres
+
+    def recording_rep(pres, *args, **kwargs):
+        if any(pres is q for q in built["presentation"]):
+            built["rep"].append(args)
+        return build_rep(pres, *args, **kwargs)
+
+    monkeypatch.setattr(talex.factorization, "presentation", recording_presentation)
+    monkeypatch.setattr(talex.factorization, "dihedral_rep", recording_rep)
+    report = conjecture_report(knot, p)
     assert report.split is splits
     assert calls["D"] == 1
     assert calls["torus"] <= 1
+    assert len(built["presentation"]) == 1
+    assert built["rep"] == [(p, "xi")]
 
 
 def test_census_suite_builds_D_once_per_sample(monkeypatch):
@@ -286,13 +307,14 @@ def test_census_suite_builds_D_once_per_sample(monkeypatch):
     import talex.twisted
     import talex.verify
 
+    # every D(t) is built by _dihedral_total, dihedral_total's included
     builds = []
-    for module in (talex.factorization, talex.twisted, talex.verify):
-        fn = module.dihedral_total
+    for module in (talex.factorization, talex.twisted):
+        fn = module._dihedral_total
         monkeypatch.setattr(
             module,
-            "dihedral_total",
-            lambda f, p, fn=fn: builds.append((f, p)) or fn(f, p),
+            "_dihedral_total",
+            lambda pres, rep, p, fn=fn: builds.append((pres, p)) or fn(pres, rep, p),
         )
     _, all_ok = talex.verify.run_suite(talex.verify.census_suite(seed=7, count=20))
     assert all_ok
@@ -470,7 +492,9 @@ def test_forged_total_without_a_congruent_pairing(monkeypatch):
     G = P(3, 1, 0, 1)  # t^3 + t + 3, irreducible over Z
     assert not congruent(G, u, p)
     forged = (G * G.negate_t()).canonical()
-    monkeypatch.setattr(talex.factorization, "dihedral_total", lambda f, p: forged)
+    monkeypatch.setattr(
+        talex.factorization, "_dihedral_total", lambda pres, rep, p: forged
+    )
     report = conjecture_report(f, p)
     assert report.D == forged and not report.split
     assert report.F is not None
