@@ -12,8 +12,9 @@ N(t) = Fox(R) * adj(Fox(R0)) / det(Fox(R0)): failure of that division
 or of splitness is a first-class outcome (expected off H(p)), not a
 crash.  Such knots are paired by total_pairing: the paper's
 congruence F = {Delta(t)/(1+t)}^n mod p names the factor
-(twisted.modp_factor), a quadratic Hensel lift recovers F from it, and
-the pure-Python integer factorization of intfactor is the last resort.
+(twisted.modp_factor), a quadratic Hensel lift recovers F from it
+(stopping at the first modulus whose candidate certifies), and the
+pure-Python integer factorization of intfactor is the last resort.
 """
 
 from __future__ import annotations
@@ -288,8 +289,20 @@ def _hensel_pairing(D, u):
     factorization lifts uniquely to Z/p^k, and its factor over u is
     lc(F(-t))*F for the true F; p^k above twice |lc(D)| times the
     Mignotte bound 2^deg(F)*||D||_2 recovers it as a symmetric residue.
-    Its primitive part times the square root of D's content is the
-    candidate, which the exact certificate F(t)F(-t) = D then decides."""
+    At each modulus q = p, p^2, p^4, ... of the lift, the primitive part
+    of that residue times the square root of D's content is a candidate,
+    and the exact certificate F(t)F(-t) = D decides it; the lift stops
+    at the first candidate that passes, and returns None only when the
+    one at the Mignotte modulus fails too.
+
+    Stopping early cannot change the answer.  p does not divide lc(D),
+    so it divides neither the content divided out nor the root
+    multiplied in, and a candidate F' that passes is a unit times u mod
+    p.  By the uniqueness of the lift (von zur Gathen & Gerhard, Modern
+    Computer Algebra, section 15.4), lc(F'(-t))*F' is then the factor
+    over u at every modulus: the full lift would give +-F', which
+    _lex_min_rep reads as the same pairing.  For the same reason no
+    early candidate passes where the full lift fails."""
     D = D.canonical()
     p = u.ring.p
     if D.is_zero or D.coeffs[-1] % p == 0:
@@ -309,14 +322,14 @@ def _hensel_pairing(D, u):
         return None
     norm = isqrt(sum(c * c for c in D.coeffs)) + 1
     m = _lift_modulus(p, 2 * abs(lc) * (norm << u.degree))
-    g, _ = _hensel_lift(D, g0, v, s, t, m)
-    half = m // 2
-    lifted = [c - m if c > half else c for c in g.coeffs]
-    content = gcd(*lifted)
-    F = LaurentPoly(ZZ, g.min_deg, [root * c // content for c in lifted])
-    if (F * F.negate_t()).canonical() != D:
-        return None
-    return _lex_min_rep(F)
+    for g, _, q in _hensel_lift(D, g0, v, s, t, m):
+        half = q // 2
+        lifted = [c - q if c > half else c for c in g.coeffs]
+        content = gcd(*lifted)
+        F = LaurentPoly(ZZ, g.min_deg, [root * c // content for c in lifted])
+        if (F * F.negate_t()).canonical() == D:
+            return _lex_min_rep(F)
+    return None
 
 
 def factor_pairing(D, u=None):
@@ -449,6 +462,12 @@ def conjecture_report(f, p):
     rep, D(t) and Delta(t) are built once, and so is the mod-p factor u
     that the pairing and both congruences read."""
     _require_divides(f, p)
+    return _conjecture_report(f, p, hp_expansion(f, p) is not None)
+
+
+def _conjecture_report(f, p, in_hp):
+    """conjecture_report for a caller that has already decided whether
+    f has an H(p) expansion (``in_hp``)."""
     pres = presentation(f)
     rep = dihedral_rep(pres, p, "xi")
     D = _dihedral_total(pres, rep, p)
@@ -461,7 +480,6 @@ def conjecture_report(f, p):
         q, fpoly, F = cert.q, cert.f, cert.F
     except (NonExactDivision, NotSplit):
         F = total_pairing(D, u)
-    hp = "no" if hp_expansion(f, p) is None else "yes"
     # the congruence of twisted.modp_congruence, from D and u in hand
     modp = u is not None and modp_unit_equal(D, u * u.negate_t(), p)
     modp_f = None
@@ -488,7 +506,7 @@ def conjecture_report(f, p):
         f=fpoly,
         F=F,
         split=split_ok,
-        hp=hp,
+        hp="yes" if in_hp else "no",
         modp=modp,
         modp_f=modp_f,
         remark53=torus_q_probe(p),

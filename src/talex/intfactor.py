@@ -451,16 +451,22 @@ def _lift_modulus(p, bound):
 
 
 def _hensel_lift(f, g, h, s, t, m):
-    """(g, h) lifted from f = g*h mod p to f = g*h mod m, for g, h, s, t
-    over GF(p) with s*g + t*h = 1 and h monic, and m a power p^(2^k)
-    (from _lift_modulus).  They come back as integer polynomials with
-    coefficients in range(m)."""
+    """The lifts (g, h, q) of f = g*h mod p to f = g*h mod q, for q = p,
+    p^2, p^4, ... up to m, for g, h, s, t over GF(p) with s*g + t*h = 1
+    and h monic, and m a power p^(2^k) (from _lift_modulus).  g and h
+    come as integer polynomials with coefficients in range(q).
+
+    Each step runs only when the next lift is asked for, so a caller
+    that can recognise its answer at a small q stops there: the lift of
+    a coprime factorization is unique (von zur Gathen & Gerhard, Modern
+    Computer Algebra, section 15.4), so the later lifts only refine it."""
     q = g.ring.p
     g, h, s, t = (LaurentPoly(ZZ, x.min_deg, x.coeffs) for x in (g, h, s, t))
+    yield g, h, q
     while q < m:
         g, h, s, t = _hensel_step(f, g, h, s, t, q, last=q * q == m)
         q *= q
-    return g, h
+        yield g, h, q
 
 
 def _lift_tree(f, factors, ell, m):
@@ -479,7 +485,8 @@ def _lift_tree(f, factors, ell, m):
     gf = GFp(ell)
     left, right = LaurentPoly(gf, 0, left), LaurentPoly(gf, 0, right)
     s, t = gf_xgcd(left, right)
-    g, h = _hensel_lift(f, left, right, s, t, m)
+    # recombination needs the lift modulo the full bound
+    *_, (g, h, _) = _hensel_lift(f, left, right, s, t, m)
     return _lift_tree(g, factors[:half], ell, m) + _lift_tree(h, factors[half:], ell, m)
 
 

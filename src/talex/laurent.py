@@ -48,6 +48,17 @@ def _degree_cap():
     return int(cap) if cap else None
 
 
+def _check_span(span):
+    """Raise DegreeLimitExceeded for a product of span ``span`` above the
+    cap.  Only products, powers and the determinant's degree bound can
+    outgrow their inputs, so only they read the cap."""
+    cap = _degree_cap()
+    if cap is not None and span > cap:
+        raise DegreeLimitExceeded(
+            f"polynomial span {span} exceeds TALEX_MAX_DEGREE={cap}"
+        )
+
+
 def _byte_width(bits):
     """A digit width of at least ``bits`` bits, rounded up to whole bytes."""
     return (bits + 7) & ~7
@@ -235,11 +246,6 @@ class LaurentPoly:
             self.min_deg = 0
             self.coeffs = ()
             return
-        cap = _degree_cap()
-        if cap is not None and hi - lo - 1 > cap:
-            raise DegreeLimitExceeded(
-                f"polynomial span {hi - lo - 1} exceeds TALEX_MAX_DEGREE={cap}"
-            )
         self.ring = ring
         self.min_deg = min_deg + lo
         self.coeffs = tuple(coeffs[lo:hi])
@@ -350,6 +356,7 @@ class LaurentPoly:
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero(ring)
         a, b = self.coeffs, other.coeffs
+        _check_span(len(a) + len(b) - 2)
         lo = self.min_deg + other.min_deg
         if ring is ZZ and len(a) + len(b) > _SCHOOLBOOK_CUTOFF:
             return LaurentPoly(ZZ, lo, _kron_mul_int(a, b))
@@ -383,6 +390,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        _check_span(n * max(len(self.coeffs) - 1, 0))
         result = LaurentPoly.one(self.ring)
         base = self
         while n:

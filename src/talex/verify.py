@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .factorization import (
-    conjecture_report,
+    _conjecture_report,
     f_polynomial,
     split_check,
     torus_gh,
@@ -777,7 +777,7 @@ def census_suite(seed=7, count=50):
         def report():
             # built by whichever of the two items runs first
             if not built:
-                built.append(conjecture_report(f, p))
+                built.append(_conjecture_report(f, p, proven))
             return built[0]
 
         def factor_report():

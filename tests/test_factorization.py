@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from math import isqrt
 
 import pytest
 
 from conftest import P, Pstep, prod
 from factor_oracle import sympy_int_poly_factor
+from lift_oracle import full_lift_pairing
 from talex.factorization import (
     CertificateFailure,
     NotSplit,
@@ -26,7 +28,7 @@ from talex.factorization import (
     torus_gh,
     total_pairing,
 )
-from talex.intfactor import int_poly_factor
+from talex.intfactor import _lift_modulus, int_poly_factor
 from talex.knots import TwoBridgeFraction, alexander, presentation, random_fraction
 from talex.laurent import LaurentPoly, gf_xgcd, modp_unit_equal
 from talex.matrices import ZZ_POLY, PolyRing, RingMatrix, gamma_substitute
@@ -321,6 +323,24 @@ def test_census_suite_builds_D_once_per_sample(monkeypatch):
     assert len(builds) == 20 == len(set(builds))
 
 
+def test_census_suite_decides_hp_once_per_sample(monkeypatch):
+    import talex.factorization
+    import talex.verify
+
+    calls = []
+    for module in (talex.factorization, talex.verify):
+        fn = module.hp_expansion
+        monkeypatch.setattr(
+            module,
+            "hp_expansion",
+            lambda f, p, fn=fn: calls.append((f.alpha, f.beta, p)) or fn(f, p),
+        )
+    items = talex.verify.census_suite(seed=7, count=20)
+    _, all_ok = talex.verify.run_suite(items)
+    assert all_ok
+    assert len(calls) == 20 == len(set(calls))
+
+
 def test_conjecture_report_19_85():
     report = conjecture_report(F(85, 19), 5)
     assert report.split and report.F is not None
@@ -450,6 +470,74 @@ def test_103_155_pairs_by_the_lift(no_sympy):
     assert not report.split
     assert (report.F * report.F.negate_t()).canonical() == report.D
     assert report.modp_f
+
+
+@pytest.fixture
+def lift_steps(monkeypatch):
+    # counts intfactor's quadratic Hensel steps
+    import talex.intfactor
+
+    steps = []
+    step = talex.intfactor._hensel_step
+    monkeypatch.setattr(
+        talex.intfactor, "_hensel_step", lambda *a, **k: steps.append(1) or step(*a, **k)
+    )
+    return steps
+
+
+def pairing_inputs(f, p):
+    return dihedral_total(f, p), modp_factor(alexander(presentation(f)), p)
+
+
+def test_hensel_pairing_matches_the_full_lift(lift_steps):
+    # a seeded sample, one fraction per knot up to mirror image, of the
+    # knots with p | alpha <= 201: the lift stopped at its first
+    # certified candidate gives what the lift to the Mignotte modulus gives
+    rng = random.Random(13)
+    seen = set()
+    outcomes = Counter()
+    while len(seen) < 150:
+        p = rng.choice([3, 5, 7, 11])
+        f = random_fraction(rng, p=p, max_alpha=201)
+        inv = pow(f.beta, -1, f.alpha)
+        key = (f.alpha, min(f.beta, f.alpha - f.beta, inv, f.alpha - inv), p)
+        if key in seen:
+            continue
+        seen.add(key)
+        D, u = pairing_inputs(f, p)
+        lift_steps.clear()
+        F = _hensel_pairing(D, u)
+        assert F == full_lift_pairing(D, u), key
+        outcomes["declined" if F is None else min(len(lift_steps), 2)] += 1
+    assert outcomes["declined"] and outcomes[2], outcomes
+
+
+@pytest.mark.parametrize(
+    "pair, p, steps",
+    [((405, 341), 5, 0), ((259, 25), 7, 2), ((295, 116), 5, 3)],
+    ids=["341/405 p=5", "25/259 p=7", "116/295 p=5"],
+)
+def test_hensel_pairing_stops_at_the_first_certified_lift(lift_steps, pair, p, steps):
+    D, u = pairing_inputs(F(*pair), p)
+    pairing = _hensel_pairing(D, u)
+    assert pairing is not None and len(lift_steps) == steps
+    assert (pairing * pairing.negate_t()).canonical() == D.canonical()
+
+
+def test_hensel_pairing_that_never_certifies_lifts_to_the_full_modulus(lift_steps):
+    # D + p*t has D's image mod p, so the lift runs, but it is not even
+    # in t, so no candidate F(t)F(-t) can reproduce it
+    p = 5
+    D, u = pairing_inputs(F(405, 341), p)
+    forged = D.canonical() + LaurentPoly.t_power(1).scale(p)
+    assert forged.reduce_mod(p) == D.canonical().reduce_mod(p)
+    norm = isqrt(sum(c * c for c in forged.coeffs)) + 1
+    m = _lift_modulus(p, 2 * abs(forged.coeffs[-1]) * (norm << u.degree))
+    full_steps = 0
+    while p ** (2**full_steps) < m:
+        full_steps += 1
+    assert _hensel_pairing(forged, u) is None
+    assert len(lift_steps) == full_steps >= 4
 
 
 def test_sympy_pairing_is_oriented_by_the_modp_factor():
