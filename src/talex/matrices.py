@@ -3,9 +3,17 @@
 ``RingMatrix`` is generic over an "element ring" object: either one of
 the coefficient rings from :mod:`talex.rings` or a ``PolyRing`` wrapper
 whose elements are LaurentPoly values.  ``RingMatrix.det`` is the one
-determinant entry point, with three routes:
+determinant entry point, with three routes and one reduction:
 
 * cofactor expansion up to 3x3, over any ring;
+* the t-grading, for integer Laurent matrices from 4x4 on: when
+  A = diag(t^r) A'(t^s) diag(t^c) for some s > 1 (potentials r_i, c_j
+  from a spanning forest of the nonzero entries, s the gcd of every
+  exponent's offset e - r_i - c_j, so maximal), det A is
+  t^(sum r + sum c) det A'(y) at y = t^s, and A' takes the route choice
+  below with a degree bound about s times smaller.  The N(q,p) Fox
+  matrices are graded with s = 2q: twisting by the abelianization's
+  order-2q character gives an equivalent representation;
 * for integer Laurent matrices from 8x8 on with at least two nonzero
   entries per unit of the degree bound D, a modular route: shift each
   row to a polynomial, evaluate at x = 0..D modulo one m above twice a
@@ -19,9 +27,9 @@ determinant entry point, with three routes:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .laurent import DegreeLimitExceeded, LaurentPoly, _degree_cap
+from .laurent import DegreeLimitExceeded, LaurentPoly, _check_span, _degree_cap
 from .rings import ZZ, NonExactDivision, QuotientRing, RingMismatch
 
 
@@ -250,6 +258,8 @@ class RingMatrix:
     # -- determinants ---------------------------------------------------
 
     def det(self):
+        """Cofactors up to 3x3; over Z[t^+-1] the t-grading, then the
+        modular route or Bareiss (see the module docstring)."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         r = self.ring
@@ -271,18 +281,13 @@ class RingMatrix:
                 term = r.mul(e[0][j], minor)
                 total = r.add(total, term) if j % 2 == 0 else r.sub(total, term)
             return total
-        if r == ZZ_POLY and n >= 8:
-            shape = _row_shape(e)
-            if shape is None:
-                return r.zero
-            lows, degree, nonzero = shape
-            # the modular route pays one elimination per evaluation point,
-            # D + 1 of them; measured on the N(q,p) Fox matrices and the
-            # cyclic products, it beats Bareiss from two nonzero entries
-            # per unit of D on
-            if nonzero >= 2 * degree:
-                return _modular_det(e, lows, degree)
-        return self._bareiss()
+        if r != ZZ_POLY:
+            return self._bareiss()
+        grading = _t_grading(e)
+        if grading is None:
+            return _poly_det(e)
+        s, shift, compressed = grading
+        return _inflate(_poly_det(compressed, s), s, shift)
 
     def _bareiss(self):
         """Fraction-free elimination with row pivoting; exact divisions only."""
@@ -406,6 +411,107 @@ class RingMatrix:
                 )
             out.append([int(c) for c in back])
         return RingMatrix(ZZ, out)
+
+
+# -- the t-grading of a matrix over Z[t^+-1] --------------------------------
+
+
+def _t_grading(entries):
+    """(s, shift, A') with A = diag(t^r) A'(t^s) diag(t^c) and s > 1
+    maximal, shift = sum(r) + sum(c); None when s = 1.
+
+    Walks a spanning forest of the bipartite graph of nonzero entries
+    (row i -- column j), fixing r_i + c_j to the lowest exponent of each
+    tree edge; s is the gcd of e - r_i - c_j over every monomial t^e of
+    every entry.  Any factorization with step s' has potentials that
+    agree with these mod s' up to a constant per component (added to
+    rows, taken from columns), so s' divides s: s is maximal, whatever
+    the forest."""
+    n = len(entries)
+    rows = [None] * n
+    cols = [None] * n
+    for root in range(n):
+        if rows[root] is not None:
+            continue
+        rows[root] = 0
+        stack = [root]
+        while stack:
+            # a row index i >= 0, or a column j pushed as ~j < 0
+            v = stack.pop()
+            if v >= 0:
+                for j, e in enumerate(entries[v]):
+                    if e.coeffs and cols[j] is None:
+                        cols[j] = e.min_deg - rows[v]
+                        stack.append(~j)
+            else:
+                for i, row in enumerate(entries):
+                    e = row[~v]
+                    if e.coeffs and rows[i] is None:
+                        rows[i] = e.min_deg - cols[~v]
+                        stack.append(i)
+    cols = [0 if c is None else c for c in cols]
+    s = 0
+    for row, r in zip(entries, rows):
+        for e, c in zip(row, cols):
+            base = e.min_deg - r - c
+            for k, a in enumerate(e.coeffs):
+                if a:
+                    s = gcd(s, base + k)
+                    if s == 1:
+                        return None
+    # s = 0: every entry is one monomial t^(r_i + c_j), so A' is an
+    # integer matrix and any s > 1 serves
+    s = s or 2
+    compressed = [
+        [
+            LaurentPoly(ZZ, (e.min_deg - r - c) // s, e.coeffs[::s], _trusted=True)
+            if e.coeffs
+            else e
+            for e, c in zip(row, cols)
+        ]
+        for row, r in zip(entries, rows)
+    ]
+    return s, sum(rows) + sum(cols), compressed
+
+
+def _inflate(p, s, shift):
+    """p(t^s) * t^shift."""
+    if p.is_zero:
+        return p
+    coeffs = [0] * (s * (len(p.coeffs) - 1) + 1)
+    coeffs[::s] = p.coeffs
+    return LaurentPoly(ZZ, s * p.min_deg + shift, coeffs, _trusted=True)
+
+
+class _GradedPolyRing(PolyRing):
+    """Z[y^+-1] for y = t^s: a product is checked against TALEX_MAX_DEGREE
+    at its span in t, as it would be in the matrix before grading."""
+
+    def __init__(self, s):
+        super().__init__(ZZ)
+        self.s = s
+
+    def mul(self, a, b):
+        if a.coeffs and b.coeffs:
+            _check_span(self.s * (len(a.coeffs) + len(b.coeffs) - 2))
+        return a * b
+
+
+def _poly_det(entries, s=1):
+    """det of a square matrix over Z[t^+-1], or over Z[y^+-1] for y = t^s
+    (the degree guard reads t-degrees): the modular route or Bareiss."""
+    if len(entries) >= 8:
+        shape = _row_shape(entries)
+        if shape is None:
+            return ZZ_POLY.zero
+        lows, degree, nonzero = shape
+        # the modular route pays one elimination per evaluation point,
+        # D + 1 of them; measured on the N(q,p) Fox matrices and the
+        # cyclic products, it beats Bareiss from two nonzero entries
+        # per unit of D on
+        if nonzero >= 2 * degree:
+            return _modular_det(entries, lows, degree, s)
+    return RingMatrix(ZZ_POLY if s == 1 else _GradedPolyRing(s), entries)._bareiss()
 
 
 # -- the modular determinant over Z[t^+-1] ----------------------------------
@@ -535,13 +641,14 @@ def _modular_det_coeffs(entries, lows, degree, m):
     return [a - m if a > half else a for a in poly]
 
 
-def _modular_det(entries, lows, degree):
+def _modular_det(entries, lows, degree, s=1):
     """det over Z[t^+-1] modulo one modulus m > max(2B, D): the first
-    base-2 strong probable prime there, or the next one after a non-unit."""
+    base-2 strong probable prime there, or the next one after a non-unit.
+    For entries in y = t^s the guard compares s * D, the bound in t."""
     cap = _degree_cap()
-    if cap is not None and degree > cap:
+    if cap is not None and s * degree > cap:
         raise DegreeLimitExceeded(
-            f"determinant degree bound {degree} exceeds TALEX_MAX_DEGREE={cap}"
+            f"determinant degree bound {s * degree} exceeds TALEX_MAX_DEGREE={cap}"
         )
     m = max(2 * _coefficient_bound(entries), degree) + 1
     while True:

@@ -1,5 +1,5 @@
 """Exact matrix arithmetic: companion matrices, Bareiss and modular
-determinants, the gamma substitution, and companion-based cyclic
+determinants, the t-grading, the gamma substitution, and companion-based cyclic
 products."""
 
 import random
@@ -7,8 +7,9 @@ import random
 import pytest
 import sympy
 
-from conftest import P, Pstep, prod, random_poly
+from conftest import P, prod, random_poly
 from talex import matrices
+from talex.knots import TwoBridgeFraction, presentation
 from talex.laurent import DegreeLimitExceeded, LaurentPoly, cyclotomic_poly
 from talex.matrices import (
     PolyRing,
@@ -18,12 +19,15 @@ from talex.matrices import (
     _modular_det,
     _modular_det_coeffs,
     _row_shape,
+    _t_grading,
     companion_matrix,
     cyclic_product,
     gamma_substitute,
 )
-from talex.representations import dihedral_pi0, is_prime, theta
+from talex.representations import binary_dihedral_rep, dihedral_pi0, is_prime, nqp_rep, theta
 from talex.rings import ZZ, QuotientRing
+from talex.twisted import wada
+from talex.words import fox_derivative, rep_evaluate
 
 
 def det_cofactor(M):
@@ -155,6 +159,24 @@ def modular(M):
     return _modular_det(M.entries, lows, degree)
 
 
+def graded(rng, inner, s):
+    """diag(t^r) inner(t^s) diag(t^c) for random potentials r_i, c_j in
+    -5..5, built monomial by monomial."""
+    n = inner.rows
+    r = [rng.randrange(-5, 6) for _ in range(n)]
+    c = [rng.randrange(-5, 6) for _ in range(n)]
+    return RingMatrix(
+        ZZ_POLY,
+        [
+            [
+                LaurentPoly.from_dict({s * k + ri + cj: e.coeff(k) for k in e.support()})
+                for e, cj in zip(row, c)
+            ]
+            for row, ri in zip(inner.entries, r)
+        ],
+    )
+
+
 def test_modular_det_matches_cofactor_small():
     rng = random.Random(11)
     for _ in range(60):
@@ -278,6 +300,18 @@ def test_modular_det_degree_guard(monkeypatch):
     monkeypatch.setenv("TALEX_MAX_DEGREE", str(degree - 1))
     with pytest.raises(DegreeLimitExceeded):
         M.det()
+    # a graded matrix is held to its bound in t, s * D', not to the D' of
+    # its compressed form
+    G = graded(rng, M, 4)
+    s, _, compressed = _t_grading(G.entries)
+    lows, degree, nonzero = _row_shape(compressed)
+    assert s == 4 and nonzero >= 2 * degree
+    monkeypatch.setenv("TALEX_MAX_DEGREE", str(s * degree - 1))
+    with pytest.raises(DegreeLimitExceeded):
+        G.det()
+    monkeypatch.setenv("TALEX_MAX_DEGREE", str(s * degree))
+    with pytest.raises(AssertionError, match="evaluated past"):
+        G.det()
 
 
 def test_det_size_rule(monkeypatch):
@@ -293,14 +327,118 @@ def test_det_size_rule(monkeypatch):
     assert dense.det() == dense._bareiss() and len(calls) == 1
     small = poly_matrix(rng, 7, max_deg=1)
     assert small.det() == small._bareiss() and len(calls) == 1
+    # 1 + t^6 + t^7 has exponent gcd 1, so the matrix is not t-graded
     sparse = RingMatrix(
         ZZ_POLY,
         [
-            [Pstep(7, 1, 1) if j in (i, (i + 1) % 9) else LaurentPoly.zero() for j in range(9)]
+            [P(1, 0, 0, 0, 0, 0, 1, 1) if j in (i, (i + 1) % 9) else LaurentPoly.zero() for j in range(9)]
             for i in range(9)
         ],
     )
     assert sparse.det() == sparse._bareiss() and len(calls) == 1
+
+
+@pytest.mark.parametrize("s", [2, 3, 6, 8])
+def test_graded_det_matches_bareiss_on_both_routes(monkeypatch, s):
+    calls = []
+    route = matrices._modular_det
+    monkeypatch.setattr(
+        matrices, "_modular_det", lambda *a: calls.append(a) or route(*a)
+    )
+    rng = random.Random(40 + s)
+    z = LaurentPoly.zero()
+    inners = [
+        poly_matrix(rng, n, max_deg=1, density=density)
+        for n, density in ((4, 1.0), (6, 0.5), (9, 1.0), (10, 1.0), (10, 0.8))
+    ]
+    a, b = poly_matrix(rng, 3, max_deg=2), poly_matrix(rng, 6, max_deg=1)
+    inners.append(  # two components
+        RingMatrix.block(
+            [[a, RingMatrix.zeros(ZZ_POLY, 3, 6)], [RingMatrix.zeros(ZZ_POLY, 6, 3), b]]
+        )
+    )
+    rows = [list(row) for row in poly_matrix(rng, 8, max_deg=1).entries]
+    rows[3] = [z] * 8
+    inners.append(RingMatrix(ZZ_POLY, rows))  # a zero row
+    rows = [list(row) for row in poly_matrix(rng, 9, max_deg=1).entries]
+    x, y = random_poly(rng, max_deg=1), random_poly(rng, max_deg=1)
+    rows[-1] = [x * u + y * v for u, v in zip(rows[0], rows[1])]
+    inners.append(RingMatrix(ZZ_POLY, rows))  # singular
+    for inner in inners:
+        A = graded(rng, inner, s)
+        assert _t_grading(A.entries)[0] % s == 0
+        assert A.det() == A._bareiss()
+    # the singular case and the zero row give 0; the dense ones go modular
+    assert 0 < len(calls) < len(inners)
+
+
+def test_ungraded_matrices_are_not_reduced():
+    rng = random.Random(20)
+    assert _t_grading(poly_matrix(rng, 6).entries) is None
+    # a monomial in every entry: A' is an integer matrix
+    A = graded(rng, RingMatrix(ZZ_POLY, [[P(rng.randrange(-4, 5)) for _ in range(5)] for _ in range(5)]), 1)
+    assert _t_grading(A.entries)[0] > 1
+    assert A.det() == A._bareiss()
+
+
+def test_graded_bareiss_degree_guard_reads_t_spans(monkeypatch):
+    # every product of the graded elimination is checked at its span in t,
+    # so the cap raises exactly where Bareiss on the ungraded matrix does
+    rng = random.Random(21)
+    A = graded(rng, poly_matrix(rng, 5, max_deg=2), 3)
+    assert _t_grading(A.entries)[0] == 3
+    cap = 0
+    while True:
+        monkeypatch.setenv("TALEX_MAX_DEGREE", str(cap))
+        outcomes = []
+        for det in (A._bareiss, A.det):
+            try:
+                det()
+                outcomes.append(False)
+            except DegreeLimitExceeded:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1], cap
+        if not outcomes[0]:
+            break
+        cap += 1
+    # the boundary lies past every entry: it is set by the elimination
+    assert cap > max(e.degree - e.min_deg for row in A.entries for e in row)
+
+
+def fox_numerator(f, q, p):
+    """The 2pq-dimensional N(q,p) Fox matrix whose det is the Wada numerator."""
+    pres = presentation(f)
+    rep = nqp_rep(pres, q, p)
+    return RingMatrix.block(
+        [
+            [rep_evaluate(fox_derivative(r, m, rep)) for m in range(1, pres.num_gens)]
+            for r in pres.relators
+        ]
+    )
+
+
+def test_nqp_fox_numerators_are_graded_by_2q(monkeypatch):
+    M = fox_numerator(TwoBridgeFraction(27, 5), 4, 3)
+    assert _t_grading(M.entries)[0] == 8
+    lows, degree, _ = _row_shape(M.entries)
+    assert M.det() == _modular_det(M.entries, lows, degree)
+    M = fox_numerator(TwoBridgeFraction(85, 19), 3, 5)
+    assert _row_shape(M.entries)[1] == 360  # 361 eliminations ungraded
+    assert _t_grading(M.entries)[0] == 6
+    calls = []
+    eliminate = matrices._eliminated_det
+    monkeypatch.setattr(
+        matrices, "_eliminated_det", lambda *a: calls.append(a) or eliminate(*a)
+    )
+    M.det()
+    assert len(calls) <= 68
+
+
+def test_gamma_substituted_binary_dihedral_matrix_is_graded():
+    pres = presentation(TwoBridgeFraction(287, 1))
+    quotient = wada(pres, binary_dihedral_rep(pres, 7))
+    M = gamma_substitute(quotient, companion_matrix(cyclotomic_poly(7)))
+    assert M.rows == 6 and _t_grading(M.entries)[0] == 2
 
 
 def test_inverse_permutation_and_unimodular():

@@ -145,6 +145,16 @@ def test_nqp_exponents_multiple_of_2q():
         assert all(e % (2 * q) == 0 for e in total.support())
 
 
+def test_nqp_total_raises_on_a_forged_mismatch(monkeypatch):
+    # the direct 2pq-dimensional determinant is an independent certificate
+    # of the product formula: a doubled Delta reaches the formula side only
+    from talex import twisted
+
+    monkeypatch.setattr(twisted, "alexander", lambda pres: alexander(pres).scale(2))
+    with pytest.raises(CrossCheckMismatch):
+        nqp_total(F(27, 5), 4, 3)
+
+
 def test_nqp_divisibility_by_metacyclic():
     # The provable form of the divisibility claim: D_tau-tilde divides
     # (1 - t^{2q}) * nqp.  The plain claim fails at q=4 even on
