@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .intfactor import _hensel_lift, _lift_modulus, int_poly_factor
+from .intfactor import _hensel_lift, _mignotte_modulus, int_poly_factor
 from .knots import TwoBridgeFraction, alexander, hp_expansion, presentation
 from .laurent import LaurentPoly, modp_unit_equal, gf_exact_div, gf_xgcd
 from .matrices import PolyRing, RingMatrix, ZZ_POLY, gamma_substitute
@@ -38,6 +38,7 @@ from .representations import (
 from .rings import ZZ, NonExactDivision
 from .twisted import (
     _dihedral_total,
+    _modp_congruent,
     _require_divides,
     dihedral_total,
     modp_factor,
@@ -231,18 +232,19 @@ class FactorizationCertificate:
     F: LaurentPoly
 
     def verify(self):
-        return (self.F * self.F.negate_t()).canonical() == self.D
+        return _pairs(self.F, self.D)
 
 
-def f_polynomial(f, p, *, D=None):
+def _pairs(F, D):
+    """The certificate F(t)F(-t) = D up to units, for a canonical D."""
+    return (F * F.negate_t()).canonical() == D
+
+
+def f_polynomial(f, p):
     """The constructive factorization D = F(t)F(-t), F = q*f, with the
-    certificate checked exactly; raises CertificateFailure otherwise.
-
-    A caller that already holds D = dihedral_total(f, p) passes it in."""
+    certificate checked exactly; raises CertificateFailure otherwise."""
     extra = extract_GH(f, p)
-    if D is None:
-        D = dihedral_total(f, p)
-    return _certified_factorization(f, p, extra, D)
+    return _certified_factorization(f, p, extra, dihedral_total(f, p))
 
 
 def _certified_factorization(f, p, extra, D):
@@ -320,14 +322,13 @@ def _hensel_pairing(D, u):
     root = _integer_sqrt(gcd(*D.coeffs))
     if root is None:
         return None
-    norm = isqrt(sum(c * c for c in D.coeffs)) + 1
-    m = _lift_modulus(p, 2 * abs(lc) * (norm << u.degree))
+    m = _mignotte_modulus(D, p, u.degree)
     for g, _, q in _hensel_lift(D, g0, v, s, t, m):
         half = q // 2
         lifted = [c - q if c > half else c for c in g.coeffs]
         content = gcd(*lifted)
         F = LaurentPoly(ZZ, g.min_deg, [root * c // content for c in lifted])
-        if (F * F.negate_t()).canonical() == D:
+        if _pairs(F, D):
             return _lex_min_rep(F)
     return None
 
@@ -402,7 +403,7 @@ def factor_pairing(D, u=None):
     f_cand = parts[0]
     for part in parts[1:]:
         f_cand = f_cand * part
-    if (f_cand * f_cand.negate_t()).canonical() != D:
+    if not _pairs(f_cand, D):
         return None
     return _lex_min_rep(f_cand)
 
@@ -480,8 +481,7 @@ def _conjecture_report(f, p, in_hp):
         q, fpoly, F = cert.q, cert.f, cert.F
     except (NonExactDivision, NotSplit):
         F = total_pairing(D, u)
-    # the congruence of twisted.modp_congruence, from D and u in hand
-    modp = u is not None and modp_unit_equal(D, u * u.negate_t(), p)
+    modp = u is not None and _modp_congruent(D, u)
     modp_f = None
     if F is not None:
         if u is None:

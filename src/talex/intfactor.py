@@ -26,6 +26,9 @@ Gerhard, *Modern Computer Algebra*, ch. 14 and 15), in pure Python:
   the trailing-coefficient test, each factor confirmed by exact
   division over Z.
 
+Every polynomial division over GF(l) and Z/p^k here is the one dense
+division of ``laurent`` (``_gf_divmod``).
+
 Recombination is exponential in the number r of modular factors, so
 above ``MAX_MODULAR_FACTORS`` the factorizer raises
 ``FactorizationTooHard`` instead of running.  The output contract is
@@ -36,20 +39,25 @@ reproducing the input exactly, in a fixed order (see int_poly_factor).
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd, isqrt
 
 from .laurent import (
     LaurentPoly,
     _byte_width,
+    _dense,
+    _gf_divmod,
+    _gf_monic,
+    _gf_mul,
     _kron_div_int,
-    _kron_mul_gf,
     _pack_words,
+    _trim,
     _unpack_words,
     _unpack,
     _word_code,
     gf_xgcd,
 )
+from .representations import is_prime
 from .rings import ZZ, GFp
 
 # recombination may try 2^(r-1) subsets of r modular factors; on the 299
@@ -206,45 +214,14 @@ def _yun(f):
 
 
 # ---------------------------------------------------------------------------
-# GF(l)[x]: dense ascending coefficient lists in range(l), no trailing zeros
+# GF(l)[x] on the dense kernel of ``laurent``: gcd, DDF and EDF
 # ---------------------------------------------------------------------------
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mul(a, b, ell):
-    if not a or not b:
-        return []
-    return _trim(_kron_mul_gf(a, b, ell))
-
-
-def _gf_monic(a, ell):
-    inv = pow(a[-1], -1, ell)
-    return [c * inv % ell for c in a]
-
-
-def _gf_divmod(a, b, ell):
-    """(q, r) with a = q*b + r over GF(l), b monic."""
-    r = list(a)
-    db = len(b) - 1
-    q = [0] * max(0, len(r) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db]
-        if c:
-            q[k] = c
-            r[k : k + db + 1] = [(x - c * y) % ell for x, y in zip(r[k : k + db + 1], b)]
-    return _trim(q), _trim(r[:db])
 
 
 def _gf_gcd(a, b, ell):
     """The monic gcd over GF(l) (of a nonzero a and b)."""
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        b = _gf_monic(b, ell)
         a, b = b, _gf_divmod(a, b, ell)[1]
     return _gf_monic(a, ell)
 
@@ -382,15 +359,6 @@ def _gf_edf(g, d, ell, rng):
     return _gf_edf(h, d, ell, rng) + _gf_edf(_gf_divmod(g, h, ell)[0], d, ell, rng)
 
 
-def _primes():
-    """The odd primes, in increasing order."""
-    k = 3
-    while True:
-        if all(k % j for j in range(3, isqrt(k) + 1, 2)):
-            yield k
-        k += 2
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting
 # ---------------------------------------------------------------------------
@@ -401,27 +369,6 @@ def _reduce(poly, m):
     return LaurentPoly(ZZ, poly.min_deg, [c % m for c in poly.coeffs])
 
 
-def _divmod_monic(a, h, m):
-    """(q, r) with a = q*h + r mod m and deg r < deg h, for polynomials
-    a and monic h over Z/m."""
-    dh = h.degree
-    hc = [0] * h.min_deg + list(h.coeffs)
-    rem = [0] * a.min_deg + list(a.coeffs)
-    nq = len(rem) - dh
-    if nq <= 0:
-        return LaurentPoly.zero(), _reduce(a, m)
-    q = [0] * nq
-    for k in range(nq - 1, -1, -1):
-        c = rem[k + dh] % m
-        if c:
-            q[k] = c
-            rem[k : k + dh + 1] = [x - c * y for x, y in zip(rem[k : k + dh + 1], hc)]
-    return (
-        LaurentPoly(ZZ, 0, q),
-        LaurentPoly(ZZ, 0, [x % m for x in rem[:dh]]),
-    )
-
-
 def _hensel_step(f, g, h, s, t, m, last):
     """One quadratic Hensel step (von zur Gathen & Gerhard, Modern
     Computer Algebra, Alg. 15.10): from f = g*h and s*g + t*h = 1 mod m,
@@ -429,21 +376,24 @@ def _hensel_step(f, g, h, s, t, m, last):
     m2 = m * m
     one = LaurentPoly.one()
     e = _reduce(f - g * h, m2)
-    q, r = _divmod_monic(s * e, h, m2)
-    g = _reduce(g + t * e + q * g, m2)
-    h = _reduce(h + r, m2)
+    q, r = _gf_divmod(_dense(s * e), _dense(h), m2)
+    g = _reduce(g + t * e + LaurentPoly(ZZ, 0, q) * g, m2)
+    h = _reduce(h + LaurentPoly(ZZ, 0, r), m2)
     if last:
         return g, h, s, t
     b = _reduce(s * g + t * h - one, m2)
-    c, d = _divmod_monic(s * b, h, m2)
-    s = _reduce(s - d, m2)
-    t = _reduce(t - t * b - c * g, m2)
+    c, d = _gf_divmod(_dense(s * b), _dense(h), m2)
+    s = _reduce(s - LaurentPoly(ZZ, 0, d), m2)
+    t = _reduce(t - t * b - LaurentPoly(ZZ, 0, c) * g, m2)
     return g, h, s, t
 
 
-def _lift_modulus(p, bound):
-    """The first p^(2^k) above ``bound``: where quadratic lifting from p
-    stops."""
+def _mignotte_modulus(f, p, degree):
+    """The first p^(2^k), where quadratic lifting from p stops, above
+    twice |lc(f)| times the Mignotte bound 2^degree * ||f||_2 on the
+    coefficients of a degree-``degree`` factor of f."""
+    norm = isqrt(sum(c * c for c in f.coeffs)) + 1
+    bound = 2 * abs(f.coeffs[-1]) * (norm << degree)
     m = p
     while m <= bound:
         m *= m
@@ -453,7 +403,7 @@ def _lift_modulus(p, bound):
 def _hensel_lift(f, g, h, s, t, m):
     """The lifts (g, h, q) of f = g*h mod p to f = g*h mod q, for q = p,
     p^2, p^4, ... up to m, for g, h, s, t over GF(p) with s*g + t*h = 1
-    and h monic, and m a power p^(2^k) (from _lift_modulus).  g and h
+    and h monic, and m a power p^(2^k) (from _mignotte_modulus).  g and h
     come as integer polynomials with coefficients in range(q).
 
     Each step runs only when the next lift is asked for, so a caller
@@ -472,7 +422,7 @@ def _hensel_lift(f, g, h, s, t, m):
 def _lift_tree(f, factors, ell, m):
     """Monic lifts mod m of the monic factors mod l of f = lc(f)*prod
     factors (mod l), by halving the factor list (Alg. 15.17); m is a
-    power l^(2^k) from _lift_modulus."""
+    power l^(2^k) from _mignotte_modulus."""
     if len(factors) == 1:
         return [_reduce(f.scale(pow(f.coeffs[-1], -1, m)), m)]
     half = len(factors) // 2
@@ -505,7 +455,7 @@ def _factor_squarefree(f, rng):
     whole = (1 << n) | 1
     allowed = None  # bit k: degree k is a sum of factor degrees at every prime
     tried = []
-    for ell in _primes():
+    for ell in filter(is_prime, count(3, 2)):
         if lc % ell == 0:
             continue
         fl = _gf_monic([c % ell for c in f.coeffs], ell)
@@ -530,8 +480,7 @@ def _factor_squarefree(f, rng):
             f"above the recombination cap {MAX_MODULAR_FACTORS}"
         )
     modular = [a for g, d in ddf for a in _gf_edf(g, d, ell, rng)]
-    norm = isqrt(sum(c * c for c in f.coeffs)) + 1
-    m = _lift_modulus(ell, 2 * lc * (norm << n))
+    m = _mignotte_modulus(f, ell, n)
     return _recombine(f, _lift_tree(f, modular, ell, m), m, allowed)
 
 

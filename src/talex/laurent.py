@@ -25,6 +25,11 @@ that holds 2**(w-1) in every digit: a pack joins the bytes of the
 biased, nonnegative digits and subtracts the constant; an unpack adds
 it, so that every digit of the sum is nonnegative, and slices
 ``to_bytes``.
+
+The mod-p layer divides through one kernel on dense ascending
+coefficient lists: ``_gf_divmod``, for a prime l and a Hensel modulus
+p^k alike, serves ``gf_exact_div``, ``gf_xgcd``, the Hensel step and the
+distinct- and equal-degree factorizations of ``intfactor``.
 """
 
 from __future__ import annotations
@@ -573,6 +578,56 @@ class LaurentPoly:
         return LaurentPoly(gf, self.min_deg, [c % p for c in self.coeffs])
 
 
+# ---------------------------------------------------------------------------
+# the dense kernel over Z/m: ascending coefficient lists, no trailing zeros
+# ---------------------------------------------------------------------------
+
+
+def _dense(poly):
+    """The ascending coefficient list of a polynomial (min_deg >= 0)."""
+    return [0] * poly.min_deg + list(poly.coeffs)
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gf_mul(a, b, ell):
+    if not a or not b:
+        return []
+    return _trim(_kron_mul_gf(a, b, ell))
+
+
+def _gf_monic(a, ell):
+    inv = pow(a[-1], -1, ell)
+    return [c * inv % ell for c in a]
+
+
+def _gf_divmod(a, b, m):
+    """(q, r) with a = q*b + r mod m and deg r < deg b, for a nonzero b
+    whose leading coefficient is a unit mod m: schoolbook division (von
+    zur Gathen & Gerhard, Modern Computer Algebra, Alg. 2.5) over Z/m,
+    for a prime l or a Hensel modulus p^k alike.
+
+    a may hold any integers; q and r come reduced into range(m) and
+    trimmed.  Only each quotient digit and the remainder are reduced:
+    the updates in between stay unreduced, which at a several-hundred-bit
+    m saves one bigint remainder per update."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % m
+        if c:
+            q[k] = c
+            for j, y in enumerate(b, k):
+                r[j] -= c * y
+    return _trim(q), _trim([x % m for x in r[:db]])
+
+
 def modp_unit_equal(a, b, p):
     """Equality in (Z/p)[t^{+-1}] up to units c*t^k, c nonzero mod p."""
     fa = a.reduce_mod(p) if a.ring is ZZ else a
@@ -590,10 +645,16 @@ def modp_unit_equal(a, b, p):
 
 def gf_exact_div(num, den):
     """Exact division in (Z/p)[t]; NonExactDivision on failure."""
-    q, r = num.divmod_poly(den)
-    if not r.is_zero:
-        raise NonExactDivision("inexact division mod p", remainder=r)
-    return q
+    num._check_ring(den)
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    gf = num.ring
+    q, r = _gf_divmod(num.coeffs, den.coeffs, gf.p)
+    if r:
+        raise NonExactDivision(
+            "inexact division mod p", remainder=LaurentPoly(gf, num.min_deg, r)
+        )
+    return LaurentPoly(gf, num.min_deg - den.min_deg, q)
 
 
 def gf_xgcd(a, b):
@@ -609,42 +670,26 @@ def gf_xgcd(a, b):
         raise ValueError("gf_xgcd needs polynomials, not Laurent polynomials")
     p = gf.p
 
-    def dense(x):
-        return [0] * x.min_deg + list(x.coeffs)
-
-    def trim(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
     def sub_mul(x, q, y):
         # x - q*y over GF(p)
-        out = x + [0] * max(0, len(q) + len(y) - 1 - len(x))
+        out = x + [0] * (len(q) + len(y) - 1 - len(x))
         for i, c in enumerate(q):
             if c:
-                for j, d in enumerate(y):
-                    out[i + j] = (out[i + j] - c * d) % p
-        return trim(out)
+                for j, d in enumerate(y, i):
+                    out[j] = (out[j] - c * d) % p
+        return _trim(out)
 
-    r0, r1 = trim(dense(a)), trim(dense(b))
+    r0, r1 = _dense(a), _dense(b)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        inv = pow(r1[-1], p - 2, p)
-        q = [0] * max(0, len(r0) - len(r1) + 1)
-        rem = list(r0)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + len(r1) - 1] * inv % p
-            q[k] = c
-            if c:
-                for j, d in enumerate(r1):
-                    rem[k + j] = (rem[k + j] - c * d) % p
-        r0, r1 = r1, trim(rem[: len(r1) - 1])
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
         s0, s1 = s1, sub_mul(s0, q, s1)
         t0, t1 = t1, sub_mul(t0, q, t1)
     if len(r0) != 1:
         raise ValueError("gf_xgcd: the polynomials are not coprime")
-    inv = pow(r0[0], p - 2, p)
+    inv = pow(r0[0], -1, p)
     return (
         LaurentPoly(gf, 0, [c * inv % p for c in s0]),
         LaurentPoly(gf, 0, [c * inv % p for c in t0]),

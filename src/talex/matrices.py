@@ -22,15 +22,18 @@ determinant entry point, with three routes and one reduction:
 * fraction-free Bareiss elimination (with row pivoting; every interior
   division is exact by construction) otherwise, which keeps all
   arithmetic in the ring and is the test oracle for the modular route.
+
+``RingMatrix.inverse`` is the same elimination carried on to Gauss-Jordan
+form, over every ring and size (integer permutation matrices are
+transposed instead).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .laurent import DegreeLimitExceeded, LaurentPoly, _check_span, _degree_cap
-from .rings import ZZ, NonExactDivision, QuotientRing, RingMismatch
+from .rings import ZZ, QuotientRing, RingMismatch
 
 
 class PolyRing:
@@ -70,18 +73,9 @@ class PolyRing:
     def is_zero(a):
         return a.is_zero
 
-    def from_int(self, n):
-        return LaurentPoly.const(n, self.coeff_ring)
-
     @staticmethod
     def divider(b):
         return lambda a: a.exact_div(b)
-
-    @staticmethod
-    def is_negative(a):
-        if a.is_zero:
-            return False
-        return a.ring.is_negative(a.coeffs[0])
 
     @staticmethod
     def size_hint(a):
@@ -296,20 +290,9 @@ class RingMatrix:
         m = [list(row) for row in self.entries]
         sign = 1
         prev = r.one
-        size = getattr(r, "size_hint", None)
         for k in range(n - 1):
-            pivot_row = -1
-            best = None
-            for i in range(k, n):
-                if not r.is_zero(m[i][k]):
-                    if size is None:
-                        pivot_row = i
-                        break
-                    s = size(m[i][k])
-                    if best is None or s < best:
-                        best = s
-                        pivot_row = i
-            if pivot_row < 0:
+            pivot_row = _pivot_row(m, k, r)
+            if pivot_row is None:
                 return r.zero
             if pivot_row != k:
                 m[k], m[pivot_row] = m[pivot_row], m[k]
@@ -332,25 +315,42 @@ class RingMatrix:
     # -- inverses -------------------------------------------------------
 
     def inverse(self):
-        """Exact inverse; requires the determinant to be a unit.
+        """The exact inverse: ZeroDivisionError for a singular matrix,
+        NonExactDivision when the determinant is not a unit.
 
-        Small matrices go through the adjugate; larger integer matrices
-        (the permutation-flavored representation images, det +-1) go
-        through rational elimination with an integrality check.
-        """
+        Integer permutation matrices are transposed.  Every other matrix
+        takes fraction-free Gauss-Jordan elimination on [A | I] (Bareiss,
+        Math. Comp. 22, 1968): each division by the previous pivot is
+        exact, and the elimination ends at [d*I | d*A^-1] with d = +-det A,
+        so one division by d finishes."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         r = self.ring
         n = self.rows
         if r is ZZ and self._is_permutation():
             return self.transpose()
-        if n <= 3:
-            d = self.det()
-            adj = self._adjugate_small()
-            return adj.map_entries(r.divider(d))
-        if r is ZZ:
-            return self._inverse_int()
-        raise NotImplementedError(f"inverse over {r} for size {n}")
+        m = [
+            list(row) + [r.one if i == j else r.zero for j in range(n)]
+            for i, row in enumerate(self.entries)
+        ]
+        prev = r.one
+        for k in range(n):
+            pivot_row = _pivot_row(m, k, r)
+            if pivot_row is None:
+                raise ZeroDivisionError("singular matrix")
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            pivot = m[k][k]
+            divide = r.divider(prev) if k else lambda a: a
+            for i, row in enumerate(m):
+                if i != k:
+                    f = row[k]
+                    m[i] = [
+                        divide(r.sub(r.mul(pivot, x), r.mul(f, y)))
+                        for x, y in zip(row, m[k])
+                    ]
+            prev = pivot
+        divide = r.divider(prev)
+        return RingMatrix(r, [[divide(x) for x in row[n:]] for row in m])
 
     def _is_permutation(self):
         seen = set()
@@ -361,56 +361,13 @@ class RingMatrix:
             seen.add(hot[0])
         return True
 
-    def _adjugate_small(self):
-        r = self.ring
-        n = self.rows
-        if n == 1:
-            return RingMatrix(r, [[r.one]])
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                rows = [a for a in range(n) if a != i]
-                cols = [b for b in range(n) if b != j]
-                if n == 2:
-                    minor = self.entries[rows[0]][cols[0]]
-                else:
-                    m = [[self.entries[a][b] for b in cols] for a in rows]
-                    minor = r.sub(
-                        r.mul(m[0][0], m[1][1]), r.mul(m[0][1], m[1][0])
-                    )
-                row.append(minor if (i + j) % 2 == 0 else r.neg(minor))
-            cof.append(row)
-        return RingMatrix(r, cof).transpose()
 
-    def _inverse_int(self):
-        n = self.rows
-        aug = [
-            [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.entries)
-        ]
-        for k in range(n):
-            pivot_row = next(
-                (i for i in range(k, n) if aug[i][k] != 0), None
-            )
-            if pivot_row is None:
-                raise ZeroDivisionError("singular matrix")
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-            pv = aug[k][k]
-            aug[k] = [c / pv for c in aug[k]]
-            for i in range(n):
-                if i != k and aug[i][k]:
-                    f = aug[i][k]
-                    aug[i] = [c - f * d for c, d in zip(aug[i], aug[k])]
-        out = []
-        for row in aug:
-            back = row[n:]
-            if any(c.denominator != 1 for c in back):
-                raise NonExactDivision(
-                    "matrix inverse is not integral", remainder=None
-                )
-            out.append([int(c) for c in back])
-        return RingMatrix(ZZ, out)
+def _pivot_row(m, k, ring):
+    """The row i >= k with the smallest nonzero entry in column k by
+    ring.size_hint (the first such row on ties), or None when there is
+    none."""
+    hot = [i for i in range(k, len(m)) if not ring.is_zero(m[i][k])]
+    return min(hot, key=lambda i: ring.size_hint(m[i][k]), default=None)
 
 
 # -- the t-grading of a matrix over Z[t^+-1] --------------------------------
@@ -506,9 +463,15 @@ def _poly_det(entries, s=1):
             return ZZ_POLY.zero
         lows, degree, nonzero = shape
         # the modular route pays one elimination per evaluation point,
-        # D + 1 of them; measured on the N(q,p) Fox matrices and the
-        # cyclic products, it beats Bareiss from two nonzero entries
-        # per unit of D on
+        # D + 1 of them, so it is taken from two nonzero entries per
+        # unit of D on.  A sweep (min of 3 runs) finds the rule right on
+        # some matrices and about 2x off on others: it rightly sends the
+        # 11x11 kmeta_total numerators of 1/95 at p = 11 (D = 1034, 77
+        # nonzeros) to Bareiss, 0.29-0.39 s against 0.86-1.02 s modular,
+        # but it also sends there the kmeta_total numerators of 7/45 at
+        # p = 11 and 13 (D 88-104, 115-163 nonzeros; 42-81 ms against
+        # 19-36 ms) and the 8x8 cyclic products over t^8 - 1 (D 28-44,
+        # 32 nonzeros; 3.8-6.0 ms against 2.2-4.2 ms)
         if nonzero >= 2 * degree:
             return _modular_det(entries, lows, degree, s)
     return RingMatrix(ZZ_POLY if s == 1 else _GradedPolyRing(s), entries)._bareiss()

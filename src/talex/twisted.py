@@ -222,6 +222,9 @@ def modp_congruence(f, p):
     not exist."""
     _require_divides(f, p)
     u = modp_factor(alexander(presentation(f)), p)
-    if u is None:
-        return False
-    return modp_unit_equal(dihedral_total(f, p), u * u.negate_t(), p)
+    return u is not None and _modp_congruent(dihedral_total(f, p), u)
+
+
+def _modp_congruent(D, u):
+    """D(t) = u(t) u(-t) in GF(p)[t] up to units, for u from modp_factor."""
+    return modp_unit_equal(D, u * u.negate_t(), u.ring.p)

@@ -59,9 +59,9 @@ class FreeWord:
         return w
 
     @classmethod
-    def from_text(cls, text, alphabet=ALPHABET):
+    def from_text(cls, text):
         """Parse juxtaposed letters; uppercase means inverse."""
-        index = {name: i + 1 for i, name in enumerate(alphabet)}
+        index = {name: i + 1 for i, name in enumerate(ALPHABET)}
         codes = []
         for ch in text:
             if ch.isspace():
@@ -76,10 +76,10 @@ class FreeWord:
     def generator(cls, i):
         return cls._trusted((i + 1,))
 
-    def to_text(self, alphabet=ALPHABET):
+    def to_text(self):
         out = []
         for c in self.codes:
-            name = alphabet[abs(c) - 1]
+            name = ALPHABET[abs(c) - 1]
             out.append(name if c > 0 else name.upper())
         return "".join(out)
 

@@ -3,10 +3,10 @@ of ``factorization._hensel_pairing``: the factor of D over u is lifted
 to the a-priori modulus above twice |lc(D)| times the Mignotte bound,
 and only that one candidate is certified."""
 
-from math import gcd, isqrt
+from math import gcd
 
 from talex.factorization import _integer_sqrt, _lex_min_rep
-from talex.intfactor import _hensel_step, _lift_modulus
+from talex.intfactor import _hensel_step, _mignotte_modulus
 from talex.laurent import LaurentPoly, gf_xgcd
 from talex.rings import ZZ
 
@@ -28,8 +28,7 @@ def full_lift_pairing(D, u):
     root = _integer_sqrt(gcd(*D.coeffs))
     if root is None:
         return None
-    norm = isqrt(sum(c * c for c in D.coeffs)) + 1
-    m = _lift_modulus(p, 2 * abs(lc) * (norm << u.degree))
+    m = _mignotte_modulus(D, p, u.degree)
     g, h, s, t = (LaurentPoly(ZZ, x.min_deg, x.coeffs) for x in (g0, v, s, t))
     q = p
     while q < m:

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from math import isqrt
 
 import pytest
 
@@ -28,7 +27,7 @@ from talex.factorization import (
     torus_gh,
     total_pairing,
 )
-from talex.intfactor import _lift_modulus, int_poly_factor
+from talex.intfactor import _mignotte_modulus, int_poly_factor
 from talex.knots import TwoBridgeFraction, alexander, presentation, random_fraction
 from talex.laurent import LaurentPoly, gf_xgcd, modp_unit_equal
 from talex.matrices import ZZ_POLY, PolyRing, RingMatrix, gamma_substitute
@@ -531,8 +530,7 @@ def test_hensel_pairing_that_never_certifies_lifts_to_the_full_modulus(lift_step
     D, u = pairing_inputs(F(405, 341), p)
     forged = D.canonical() + LaurentPoly.t_power(1).scale(p)
     assert forged.reduce_mod(p) == D.canonical().reduce_mod(p)
-    norm = isqrt(sum(c * c for c in forged.coeffs)) + 1
-    m = _lift_modulus(p, 2 * abs(forged.coeffs[-1]) * (norm << u.degree))
+    m = _mignotte_modulus(forged, p, u.degree)
     full_steps = 0
     while p ** (2**full_steps) < m:
         full_steps += 1

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from talex.laurent import (
     DegreeLimitExceeded,
     LaurentPoly,
     _byte_width,
+    _gf_divmod,
     _pack,
     _unpack,
     cyclotomic_poly,
@@ -356,6 +358,38 @@ def _gf_coprime(a, b, p):
         return sympy.Poly(dense[::-1], x, modulus=p)
 
     return to_sympy(a).gcd(to_sympy(b)).degree() == 0
+
+
+@pytest.mark.parametrize(
+    "m", [3, 7, 101, 3**2, 5**4, 7**8, 3**64, 11**256], ids=lambda m: f"m{m.bit_length()}bits"
+)
+def test_gf_divmod_kernel(m):
+    """a = q*b + r mod m with deg r < deg b and q, r reduced, for any
+    integers a and a divisor b with a unit leading coefficient, at primes
+    and at the Hensel moduli p^(2^k); at a prime it agrees with
+    divmod_poly over GFp (nonzero constant terms, so that the Laurent
+    division aligns the same coefficients)."""
+    rng = random.Random(m)
+    p = next(ell for ell in (3, 5, 7, 11, 101) if m % ell == 0)
+    for _ in range(40):
+        lead = rng.choice([1, rng.randrange(1, p)])
+        b = [rng.randrange(1, p)] + [rng.randrange(m) for _ in range(rng.randrange(0, 8))]
+        b = b + [lead] if rng.randrange(4) else [lead]
+        a = [rng.randrange(1, p)] + [rng.randrange(-m * m, m * m) for _ in range(rng.randrange(0, 20))]
+        a = a if rng.randrange(8) else []
+        q, r = _gf_divmod(a, b, m)
+        assert all(0 <= c < m for c in q + r)
+        assert (not q or q[-1]) and (not r or r[-1])
+        assert len(r) < len(b)
+        qb = [0] * (len(q) + len(b) - 1) if q else []
+        for i, x in enumerate(q):
+            for j, y in enumerate(b):
+                qb[i + j] += x * y
+        assert all((x - y - z) % m == 0 for x, y, z in zip_longest(a, qb, r, fillvalue=0))
+        if m == p:
+            gf = GFp(p)
+            quot, rem = LaurentPoly(gf, 0, [c % p for c in a]).divmod_poly(LaurentPoly(gf, 0, b))
+            assert (quot, rem) == (LaurentPoly(gf, 0, q), LaurentPoly(gf, 0, r))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

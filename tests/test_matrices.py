@@ -24,8 +24,18 @@ from talex.matrices import (
     cyclic_product,
     gamma_substitute,
 )
-from talex.representations import binary_dihedral_rep, dihedral_pi0, is_prime, nqp_rep, theta
-from talex.rings import ZZ, QuotientRing
+from talex.representations import (
+    binary_dihedral,
+    binary_dihedral_rep,
+    dihedral_eta,
+    dihedral_pi0,
+    dihedral_xi,
+    is_prime,
+    nqp_rep,
+    omega_ring,
+    theta,
+)
+from talex.rings import ZZ, NonExactDivision, QuotientRing
 from talex.twisted import wada
 from talex.words import fox_derivative, rep_evaluate
 
@@ -447,6 +457,62 @@ def test_inverse_permutation_and_unimodular():
     M = RingMatrix(ZZ, [[2, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]])
     inv = M.inverse()
     assert M * inv == RingMatrix.identity(ZZ, 4)
+
+
+def random_unimodular(rng, ring, n, entry):
+    """A product of 3n elementary matrices with off-diagonal entries
+    ``entry(rng)``, times a sign on its first row."""
+    M = RingMatrix.identity(ring, n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        rows = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
+        rows[i][j] = entry(rng)
+        M = M * RingMatrix(ring, rows)
+    if rng.random() < 0.5:
+        M = RingMatrix(ring, [[ring.neg(x) for x in M.entries[0]], *M.entries[1:]])
+    return M
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_inverse_of_random_unimodular_integer_matrices(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        M = random_unimodular(rng, ZZ, n, lambda r: r.randrange(-3, 4))
+        inv = M.inverse()
+        assert M * inv == RingMatrix.identity(ZZ, n) == inv * M
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_inverse_of_the_representation_images(p):
+    for images in (dihedral_xi(p), dihedral_pi0(p), binary_dihedral(p), dihedral_eta(p)):
+        for M in images:
+            assert M * M.inverse() == RingMatrix.identity(M.ring, M.rows)
+
+
+def test_inverse_of_a_unimodular_matrix_over_z_omega():
+    ring = omega_ring(2)
+    w = ring.gen()
+    unit = ring.add(ring.from_int(3), w)  # norm theta_2(-3) = -1
+    rng = random.Random(4)
+    M = random_unimodular(
+        rng, ring, 4, lambda r: ring.from_coeffs([r.randrange(-2, 3), r.randrange(-2, 3)])
+    )
+    diagonal = [list(row) for row in RingMatrix.identity(ring, 4).entries]
+    diagonal[2][2] = unit
+    M = M * RingMatrix(ring, diagonal)
+    inv = M.inverse()
+    assert M * inv == RingMatrix.identity(ring, 4) == inv * M
+
+
+def test_inverse_of_a_singular_or_non_unimodular_matrix_raises():
+    with pytest.raises(ZeroDivisionError):
+        RingMatrix(ZZ, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]]).inverse()
+    with pytest.raises(ZeroDivisionError):
+        RingMatrix(omega_ring(1), [[(1,), (2,)], [(2,), (4,)]]).inverse()
+    M = RingMatrix(ZZ, [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 1]])
+    assert M.det() == 2
+    with pytest.raises(NonExactDivision):
+        M.inverse()
 
 
 def test_gamma_substitute_constant_and_linear():
