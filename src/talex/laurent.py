@@ -39,7 +39,6 @@ from .rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
 import os
 import sys
 from array import array
-from fractions import Fraction
 
 _SCHOOLBOOK_CUTOFF = 24
 
@@ -481,33 +480,16 @@ class LaurentPoly:
             qc = _kron_div_int(list(self.coeffs), list(den.coeffs))
             if qc is not None:
                 return LaurentPoly(ZZ, shift, qc)
-            rem = self._rational_remainder(den)
-            raise NonExactDivision("inexact polynomial division", remainder=rem)
+            raise NonExactDivision("inexact polynomial division")
         try:
             quot, rem = self.divmod_poly(den)
         except NonExactDivision:
             # a leading-coefficient division failed: the quotient is not
             # integral, so the division cannot be exact over this ring
-            raise NonExactDivision("inexact polynomial division", remainder=self)
+            raise NonExactDivision("inexact polynomial division")
         if not rem.is_zero:
-            raise NonExactDivision("inexact polynomial division", remainder=rem)
+            raise NonExactDivision("inexact polynomial division")
         return quot
-
-    def _rational_remainder(self, den):
-        """The remainder of division by ``den`` over the rationals, for
-        error reporting; the numerator itself when that remainder is not
-        integral."""
-        rem = [Fraction(c) for c in self.coeffs]
-        dc = den.coeffs
-        for k in range(len(rem) - len(dc), -1, -1):
-            c = rem[k + len(dc) - 1]
-            if c:
-                qc = c / dc[-1]
-                for j, y in enumerate(dc):
-                    rem[k + j] -= qc * y
-        if any(f.denominator != 1 for f in rem):
-            return self
-        return LaurentPoly(ZZ, self.min_deg, [int(f) for f in rem])
 
     # -- normalization ----------------------------------------------
 
@@ -651,9 +633,7 @@ def gf_exact_div(num, den):
     gf = num.ring
     q, r = _gf_divmod(num.coeffs, den.coeffs, gf.p)
     if r:
-        raise NonExactDivision(
-            "inexact division mod p", remainder=LaurentPoly(gf, num.min_deg, r)
-        )
+        raise NonExactDivision("inexact division mod p")
     return LaurentPoly(gf, num.min_deg - den.min_deg, q)
 
 

@@ -13,7 +13,9 @@ determinant entry point, with three routes and one reduction:
   t^(sum r + sum c) det A'(y) at y = t^s, and A' takes the route choice
   below with a degree bound about s times smaller.  The N(q,p) Fox
   matrices are graded with s = 2q: twisting by the abelianization's
-  order-2q character gives an equivalent representation;
+  order-2q character gives an equivalent representation.  The degree
+  bound in t, s * D' for a bound D' of A', is checked once against
+  TALEX_MAX_DEGREE before either route runs;
 * for integer Laurent matrices from 8x8 on with at least two nonzero
   entries per unit of the degree bound D, a modular route: shift each
   row to a polynomial, evaluate at x = 0..D modulo one m above twice a
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .laurent import DegreeLimitExceeded, LaurentPoly, _check_span, _degree_cap
+from .laurent import DegreeLimitExceeded, LaurentPoly, _degree_cap
 from .rings import ZZ, QuotientRing, RingMismatch
 
 
@@ -277,11 +279,33 @@ class RingMatrix:
             return total
         if r != ZZ_POLY:
             return self._bareiss()
-        grading = _t_grading(e)
-        if grading is None:
-            return _poly_det(e)
-        s, shift, compressed = grading
-        return _inflate(_poly_det(compressed, s), s, shift)
+        s, shift, e = _t_grading(e) or (1, 0, e)
+        shape = _row_shape(e)
+        if shape is None:
+            return ZZ_POLY.zero
+        lows, degree, nonzero = shape
+        # one guard before either route, at the bound in t: s * D' for a
+        # bound D' in y = t^s
+        cap = _degree_cap()
+        if cap is not None and s * degree > cap:
+            raise DegreeLimitExceeded(
+                f"determinant degree bound {s * degree} exceeds TALEX_MAX_DEGREE={cap}"
+            )
+        # the modular route pays one elimination per evaluation point,
+        # D + 1 of them, so it is taken from two nonzero entries per unit
+        # of D on.  A sweep (min of 3 runs) finds the rule right on some
+        # matrices and about 2x off on others: it rightly sends the 11x11
+        # kmeta_total numerators of 1/95 at p = 11 (D = 1034, 77 nonzeros)
+        # to Bareiss, 0.29-0.39 s against 0.86-1.02 s modular, but it also
+        # sends there the kmeta_total numerators of 7/45 at p = 11 and 13
+        # (D 88-104, 115-163 nonzeros; 42-81 ms against 19-36 ms) and the
+        # 8x8 cyclic products over t^8 - 1 (D 28-44, 32 nonzeros; 3.8-6.0
+        # ms against 2.2-4.2 ms)
+        if n >= 8 and nonzero >= 2 * degree:
+            det = _modular_det(e, lows, degree)
+        else:
+            det = RingMatrix(ZZ_POLY, e)._bareiss()
+        return det if s == 1 else _inflate(det, s, shift)
 
     def _bareiss(self):
         """Fraction-free elimination with row pivoting; exact divisions only."""
@@ -440,43 +464,6 @@ def _inflate(p, s, shift):
     return LaurentPoly(ZZ, s * p.min_deg + shift, coeffs, _trusted=True)
 
 
-class _GradedPolyRing(PolyRing):
-    """Z[y^+-1] for y = t^s: a product is checked against TALEX_MAX_DEGREE
-    at its span in t, as it would be in the matrix before grading."""
-
-    def __init__(self, s):
-        super().__init__(ZZ)
-        self.s = s
-
-    def mul(self, a, b):
-        if a.coeffs and b.coeffs:
-            _check_span(self.s * (len(a.coeffs) + len(b.coeffs) - 2))
-        return a * b
-
-
-def _poly_det(entries, s=1):
-    """det of a square matrix over Z[t^+-1], or over Z[y^+-1] for y = t^s
-    (the degree guard reads t-degrees): the modular route or Bareiss."""
-    if len(entries) >= 8:
-        shape = _row_shape(entries)
-        if shape is None:
-            return ZZ_POLY.zero
-        lows, degree, nonzero = shape
-        # the modular route pays one elimination per evaluation point,
-        # D + 1 of them, so it is taken from two nonzero entries per
-        # unit of D on.  A sweep (min of 3 runs) finds the rule right on
-        # some matrices and about 2x off on others: it rightly sends the
-        # 11x11 kmeta_total numerators of 1/95 at p = 11 (D = 1034, 77
-        # nonzeros) to Bareiss, 0.29-0.39 s against 0.86-1.02 s modular,
-        # but it also sends there the kmeta_total numerators of 7/45 at
-        # p = 11 and 13 (D 88-104, 115-163 nonzeros; 42-81 ms against
-        # 19-36 ms) and the 8x8 cyclic products over t^8 - 1 (D 28-44,
-        # 32 nonzeros; 3.8-6.0 ms against 2.2-4.2 ms)
-        if nonzero >= 2 * degree:
-            return _modular_det(entries, lows, degree, s)
-    return RingMatrix(ZZ_POLY if s == 1 else _GradedPolyRing(s), entries)._bareiss()
-
-
 # -- the modular determinant over Z[t^+-1] ----------------------------------
 
 
@@ -604,15 +591,9 @@ def _modular_det_coeffs(entries, lows, degree, m):
     return [a - m if a > half else a for a in poly]
 
 
-def _modular_det(entries, lows, degree, s=1):
+def _modular_det(entries, lows, degree):
     """det over Z[t^+-1] modulo one modulus m > max(2B, D): the first
-    base-2 strong probable prime there, or the next one after a non-unit.
-    For entries in y = t^s the guard compares s * D, the bound in t."""
-    cap = _degree_cap()
-    if cap is not None and s * degree > cap:
-        raise DegreeLimitExceeded(
-            f"determinant degree bound {s * degree} exceeds TALEX_MAX_DEGREE={cap}"
-        )
+    base-2 strong probable prime there, or the next one after a non-unit."""
     m = max(2 * _coefficient_bound(entries), degree) + 1
     while True:
         while not _is_strong_probable_prime(m):

@@ -17,22 +17,9 @@ between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 
 class NonExactDivision(ArithmeticError):
-    """Raised when an exact division leaves a nonzero remainder.
-
-    ``remainder`` carries whatever partial evidence the division site
-    had (a ring element, a polynomial, or None); it exists for
-    diagnostics, e.g. telling a theory violation from a transcription
-    bug.
-    """
-
-    def __init__(self, message, remainder=None):
-        super().__init__(message)
-        self.remainder = remainder
+    """Raised when an exact division leaves a nonzero remainder."""
 
 
 class RingMismatch(TypeError):
@@ -79,7 +66,7 @@ class IntegerRing:
         def divide(a):
             q, r = divmod(a, b)
             if r:
-                raise NonExactDivision(f"{a} is not divisible by {b}", remainder=r)
+                raise NonExactDivision(f"{a} is not divisible by {b}")
             return q
 
         return divide
@@ -105,8 +92,9 @@ class QuotientRing:
     Elements are tuples of ``degree`` integers, the coefficients of the
     residue in ascending powers of z.  When m is irreducible (the
     Eisenstein-shaped minimal polynomials used throughout, and the
-    cyclotomic ones) this is an integral domain and nonzero elements
-    are invertible over Q, which is what ``divider`` relies on.
+    cyclotomic ones) this is an integral domain and every nonzero b has
+    a nonzero norm N(b), which is what ``divider`` relies on.  All
+    arithmetic stays in the integers and reads one table, z**s mod m.
     """
 
     def __init__(self, modulus):
@@ -134,6 +122,9 @@ class QuotientRing:
         # unreduced product coefficients of size at most c leaves reduced
         # ones of size at most c * fold_norm
         self.fold_norm = max(sum(abs(w[r]) for w in powers) for r in range(d))
+        # Tr(z**i), the trace of multiplication by z**i: column j of its
+        # matrix is z**(i+j) mod m
+        self.traces = tuple(sum(powers[i + j][j] for j in range(d)) for i in range(d))
 
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and self.modulus == other.modulus
@@ -147,25 +138,11 @@ class QuotientRing:
     def from_int(self, n):
         return (int(n),) + (0,) * (self.degree - 1)
 
-    def from_coeffs(self, coeffs):
-        """Reduce an integer polynomial (ascending coeffs) mod the modulus."""
-        work = list(coeffs)
-        d = self.degree
-        m = self.modulus
-        for k in range(len(work) - 1, d - 1, -1):
-            c = work[k]
-            if c:
-                work[k] = 0
-                for j in range(d):
-                    work[k - d + j] -= c * m[j]
-        work = work[:d] + [0] * (d - len(work))
-        return tuple(work[:d])
-
     def gen(self):
         """The residue class of z."""
         if self.degree == 1:
             return (-self.modulus[0],)
-        return self.from_coeffs([0, 1])
+        return self.z_powers[1]
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -186,7 +163,13 @@ class QuotientRing:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return self.from_coeffs(prod)
+        for s in range(d, 2 * d - 1):
+            v = prod[s]
+            if v:
+                for r, w in enumerate(self.z_powers[s]):
+                    if w:
+                        prod[r] += w * v
+        return tuple(prod[:d])
 
     def pow(self, a, n):
         result = self.one
@@ -210,74 +193,40 @@ class QuotientRing:
     def size_hint(self, a):
         return sum(abs(x).bit_length() for x in a)
 
-    def inv_rational(self, a):
-        """Inverse of a in Q[z]/(m), as a tuple of Fractions.
-
-        Extended Euclid against the modulus; fails (raises
-        ZeroDivisionError) when a is zero or shares a factor with a
-        reducible modulus.
-        """
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverting zero residue")
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = [Fraction(c) for c in a]
-        s0 = [Fraction(0)]
-        s1 = [Fraction(1)]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
-        while True:
-            if not r1:
-                raise ZeroDivisionError("residue not invertible in quotient ring")
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                out = [c * inv for c in s1]
-                out += [Fraction(0)] * (self.degree - len(out))
-                return tuple(out[: self.degree])
-            # divmod r0 by r1 over Q
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = r0[:]
-            for k in range(len(rem) - len(r1), -1, -1):
-                c = rem[k + len(r1) - 1] / r1[-1]
-                if c:
-                    q[k] = c
-                    for j, y in enumerate(r1):
-                        rem[k + j] -= c * y
-            rem = trim(rem)
-            # s_next = s0 - q*s1
-            s_next = s0[:] + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if i + j >= len(s_next):
-                            s_next += [Fraction(0)] * (i + j - len(s_next) + 1)
-                        s_next[i + j] -= qc * sc
-            r0, r1 = r1, rem
-            s0, s1 = s1, trim(s_next)
-
     def divider(self, b):
         """The map a -> a / b for one divisor b used many times.
 
-        b is inverted over Q once, as an integer residue adj over a
-        positive common denominator L (1/b = adj/L), so each call is one
-        integer product a*adj and a divmod by L per coordinate; it raises
-        NonExactDivision exactly when a/b is not integral."""
-        inv = self.inv_rational(b)
-        den = lcm(*(c.denominator for c in inv))
-        adj = tuple(int(c * den) for c in inv)
+        b is inverted once, as an integer residue adj over L = |N(b)|
+        (1/b = adj/L), by Faddeev-LeVerrier in the algebra (Cohen, A
+        Course in Computational Algebraic Number Theory, 2.2): e_1 = 1,
+        then e_(k+1) = b e_k + c_(d-k) with c_(d-k) = -Tr(b e_k)/k, an
+        exact division that yields the characteristic polynomial of
+        multiplication by b, so b e_d = -c_0 = +-N(b).  Each call is then
+        one integer product a*adj and a divmod by L per coordinate; it
+        raises NonExactDivision exactly when a/b is not integral, and
+        the setup raises ZeroDivisionError when b is zero or a zero
+        divisor (N(b) = 0)."""
+        if self.is_zero(b):
+            raise ZeroDivisionError("inverting zero residue")
+        traces = self.traces
+        e = self.one
+        for k in range(1, self.degree + 1):
+            adj = e
+            g = self.mul(b, e)
+            c = -sum(x * tr for x, tr in zip(g, traces)) // k
+            e = (g[0] + c,) + g[1:]
+        if not c:
+            raise ZeroDivisionError("residue not invertible in quotient ring")
+        den = abs(c)
+        if c > 0:
+            adj = self.neg(adj)
 
         def divide(a):
             out = []
             for c in self.mul(a, adj):
                 q, r = divmod(c, den)
                 if r:
-                    raise NonExactDivision(
-                        "quotient-ring division is not integral", remainder=a
-                    )
+                    raise NonExactDivision("quotient-ring division is not integral")
                 out.append(q)
             return tuple(out)
 

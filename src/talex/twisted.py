@@ -122,9 +122,8 @@ def binary_dihedral_total(f, p):
     product-over-(+-i) identity against the dihedral total."""
     _require_divides(f, p)
     total = binary_dihedral_total_of(presentation(f), p)
-    z2_plus_1 = LaurentPoly.from_int_coeffs([1, 0, 1])
-    alt = cyclic_product(dihedral_total(f, p), z2_plus_1).canonical()
-    if alt != total:
+    # Phi_4 = z^2 + 1: the product over +-i is the metacyclic total at q = 2
+    if metacyclic_total(f, 2, p) != total:
         raise CrossCheckMismatch(
             f"binary dihedral total disagrees with the +-i product for {f}"
         )

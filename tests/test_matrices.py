@@ -7,6 +7,7 @@ import random
 import pytest
 import sympy
 
+import quot_oracle
 from conftest import P, prod, random_poly
 from talex import matrices
 from talex.knots import TwoBridgeFraction, presentation
@@ -392,27 +393,29 @@ def test_ungraded_matrices_are_not_reduced():
 
 
 def test_graded_bareiss_degree_guard_reads_t_spans(monkeypatch):
-    # every product of the graded elimination is checked at its span in t,
-    # so the cap raises exactly where Bareiss on the ungraded matrix does
+    # the bound in t, s * D' for the bound D' of the compressed matrix, is
+    # checked once before the graded Bareiss runs: det() raises exactly
+    # when the cap is below it, and then eliminates nothing
     rng = random.Random(21)
     A = graded(rng, poly_matrix(rng, 5, max_deg=2), 3)
-    assert _t_grading(A.entries)[0] == 3
-    cap = 0
-    while True:
+    s, _, compressed = _t_grading(A.entries)
+    degree = _row_shape(compressed)[1]
+    assert s == 3 and degree > 0
+    eliminated = []
+    bareiss = RingMatrix._bareiss
+    monkeypatch.setattr(
+        RingMatrix, "_bareiss", lambda self: eliminated.append(self) or bareiss(self)
+    )
+    want = A.det()
+    for cap in range(s * degree + s + 1):
         monkeypatch.setenv("TALEX_MAX_DEGREE", str(cap))
-        outcomes = []
-        for det in (A._bareiss, A.det):
-            try:
-                det()
-                outcomes.append(False)
-            except DegreeLimitExceeded:
-                outcomes.append(True)
-        assert outcomes[0] == outcomes[1], cap
-        if not outcomes[0]:
-            break
-        cap += 1
-    # the boundary lies past every entry: it is set by the elimination
-    assert cap > max(e.degree - e.min_deg for row in A.entries for e in row)
+        eliminated.clear()
+        if cap < s * degree:
+            with pytest.raises(DegreeLimitExceeded):
+                A.det()
+            assert eliminated == [], cap
+        else:
+            assert A.det() == want and len(eliminated) == 1, cap
 
 
 def fox_numerator(f, q, p):
@@ -495,7 +498,7 @@ def test_inverse_of_a_unimodular_matrix_over_z_omega():
     unit = ring.add(ring.from_int(3), w)  # norm theta_2(-3) = -1
     rng = random.Random(4)
     M = random_unimodular(
-        rng, ring, 4, lambda r: ring.from_coeffs([r.randrange(-2, 3), r.randrange(-2, 3)])
+        rng, ring, 4, lambda r: quot_oracle.reduce([r.randrange(-2, 3), r.randrange(-2, 3)], ring)
     )
     diagonal = [list(row) for row in RingMatrix.identity(ring, 4).entries]
     diagonal[2][2] = unit

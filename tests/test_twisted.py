@@ -155,6 +155,16 @@ def test_nqp_total_raises_on_a_forged_mismatch(monkeypatch):
         nqp_total(F(27, 5), 4, 3)
 
 
+def test_binary_dihedral_total_raises_on_a_forged_mismatch(monkeypatch):
+    # the +-i product is read from the dihedral total, the binary dihedral
+    # total from its own Wada quotient: a doubled D reaches one side only
+    from talex import twisted
+
+    monkeypatch.setattr(twisted, "dihedral_total", lambda f, p: dihedral_total(f, p).scale(2))
+    with pytest.raises(CrossCheckMismatch):
+        binary_dihedral_total(F(9, 1), 3)
+
+
 def test_nqp_divisibility_by_metacyclic():
     # The provable form of the divisibility claim: D_tau-tilde divides
     # (1 - t^{2q}) * nqp.  The plain claim fails at q=4 even on
