@@ -3,7 +3,7 @@ dihedral and metacyclic representations, with the constructive
 f(t)f(-t) factorization and its certificates."""
 
 from .rings import ZZ, GFp, NonExactDivision, QuotientRing, RingMismatch
-from .laurent import LaurentPoly, cyclotomic_poly
+from .laurent import LaurentPoly, PreconditionError, cyclotomic_poly
 from .matrices import (
     RingMatrix,
     companion_matrix,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse error, 2 precondition violation
-(e.g. p does not divide alpha), 3 internal certificate failure.
+(a PreconditionError from the library, e.g. p does not divide alpha, or
+a resource cap), 3 internal certificate failure.  The CLI checks no
+input itself: the library checks each one where it is first read.
 ``--factor`` on a knot without the constructive factorization exits 0
 with "split": false -- absence of a factorization is a finding.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
 
 from .factorization import (
     CertificateFailure,
@@ -26,8 +27,7 @@ from .knots import (
     hp_expansion,
     presentation,
 )
-from .laurent import DegreeLimitExceeded, LaurentPoly
-from .representations import NoValidAssignment, is_prime
+from .laurent import DegreeLimitExceeded, LaurentPoly, PreconditionError
 from .rings import NonExactDivision
 from .twisted import (
     CrossCheckMismatch,
@@ -39,22 +39,12 @@ from .twisted import (
     nqp_total,
     perm_dihedral_total,
 )
-from .verify import SUITES, ItemError, run_suite
 
 USAGE_ERROR, PRECONDITION_ERROR, CERTIFICATE_ERROR = 1, 2, 3
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
-def _parse_fraction(text):
-    try:
-        return TwoBridgeFraction.parse(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise CliError(f"bad fraction {text!r}: {e}", PRECONDITION_ERROR)
+class UsageError(Exception):
+    """A command line that names no knot or an unknown preset or suite."""
 
 
 def _poly_out(p):
@@ -72,34 +62,12 @@ def _emit(payload, fmt):
 
 
 def cmd_alexander(args):
-    f = _parse_fraction(args.fraction)
+    f = TwoBridgeFraction.parse(args.fraction)
     return {"alexander": _poly_out(alexander(presentation(f)))}
 
 
-def _check_group_orders(args):
-    """The -p and -q preconditions shared by every subcommand that takes
-    them: p an odd prime, q >= 1, and gcd(q, p) = 1 for --rep max."""
-    p, q = getattr(args, "p", None), getattr(args, "q", None)
-    if p is not None and (p % 2 == 0 or not is_prime(p)):
-        raise CliError(f"p={p} is not an odd prime", PRECONDITION_ERROR)
-    if q is not None and q < 1:
-        raise CliError(f"q={q} must be >= 1", PRECONDITION_ERROR)
-    if q is not None and args.rep == "max" and gcd(q, p) != 1:
-        raise CliError(
-            f"--rep max needs gcd(q, p) = 1, got q={q}, p={p}", PRECONDITION_ERROR
-        )
-
-
-def _check_divides(f, p):
-    if f.alpha % p != 0:
-        raise CliError(
-            f"p={p} does not divide alpha={f.alpha}", PRECONDITION_ERROR
-        )
-
-
 def cmd_dihedral(args):
-    f = _parse_fraction(args.fraction)
-    _check_divides(f, args.p)
+    f = TwoBridgeFraction.parse(args.fraction)
     if args.rep == "perm":
         return {"D": _poly_out(perm_dihedral_total(f, args.p))}
     if args.rep == "irr":
@@ -120,14 +88,12 @@ def cmd_dihedral(args):
 
 
 def cmd_binary_dihedral(args):
-    f = _parse_fraction(args.fraction)
-    _check_divides(f, args.p)
+    f = TwoBridgeFraction.parse(args.fraction)
     return {"D": _poly_out(binary_dihedral_total(f, args.p))}
 
 
 def cmd_metacyclic(args):
-    f = _parse_fraction(args.fraction)
-    _check_divides(f, args.p)
+    f = TwoBridgeFraction.parse(args.fraction)
     if args.rep == "max":
         return {"D": _poly_out(nqp_total(f, args.q, args.p))}
     return {"D": _poly_out(metacyclic_total(f, args.q, args.p))}
@@ -136,16 +102,13 @@ def cmd_metacyclic(args):
 def cmd_kmeta(args):
     if args.preset:
         if args.preset not in PRESETS:
-            raise CliError(f"unknown preset {args.preset!r}", USAGE_ERROR)
+            raise UsageError(f"unknown preset {args.preset!r}")
         pres = PRESETS[args.preset]()
     else:
         if not args.fraction:
-            raise CliError("kmeta needs a fraction or --preset", USAGE_ERROR)
-        pres = presentation(_parse_fraction(args.fraction))
-    try:
-        report = kmeta_total(pres, args.p, args.k)
-    except (ValueError, NoValidAssignment) as e:
-        raise CliError(str(e), PRECONDITION_ERROR)
+            raise UsageError("kmeta needs a fraction or --preset")
+        pres = presentation(TwoBridgeFraction.parse(args.fraction))
+    report = kmeta_total(pres, args.p, args.k)
     return {
         "total": _poly_out(report.total),
         "F": _poly_out(report.factor) if report.factor is not None else None,
@@ -155,15 +118,20 @@ def cmd_kmeta(args):
 
 
 def cmd_hp_test(args):
-    cf = hp_expansion(_parse_fraction(args.fraction), args.p)
+    cf = hp_expansion(TwoBridgeFraction.parse(args.fraction), args.p)
     if cf is None:
         return {"hp": "no", "cf": None}
     return {"hp": "yes", "cf": list(cf.entries)}
 
 
 def cmd_verify(args):
+    # imported here, not at the top: the suites' goldens are built at
+    # import time, and building them under a small TALEX_MAX_DEGREE must
+    # not stop the other commands
+    from .verify import SUITES, ItemError, run_suite
+
     if args.suite not in SUITES:
-        raise CliError(f"unknown suite {args.suite!r}", USAGE_ERROR)
+        raise UsageError(f"unknown suite {args.suite!r}")
     items = SUITES[args.suite](max_n=args.max_n, seed=args.seed)
     results, all_ok = run_suite(items)
     for name, ok, advisory in results:
@@ -264,15 +232,14 @@ def main(argv=None):
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
-        _check_group_orders(args)
         result = args.fn(args)
-    except CliError as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return USAGE_ERROR
     except (NonExactDivision, CertificateFailure, CrossCheckMismatch) as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return CERTIFICATE_ERROR
-    except (NotSplit, DegreeLimitExceeded, FactorizationTooHard) as e:
+    except (PreconditionError, NotSplit, DegreeLimitExceeded, FactorizationTooHard) as e:
         print(f"error: {e}", file=sys.stderr)
         return PRECONDITION_ERROR
     if isinstance(result, int):

@@ -30,8 +30,8 @@ from .matrices import PolyRing, RingMatrix, ZZ_POLY, gamma_substitute
 from .representations import (
     dihedral_rep,
     dihedral_xi,
-    omega_companion,
     omega_ring,
+    require_prime_divisor,
     v_matrix,
     xy_power_table,
 )
@@ -39,7 +39,6 @@ from .rings import ZZ, NonExactDivision
 from .twisted import (
     _dihedral_total,
     _modp_congruent,
-    _require_divides,
     dihedral_total,
     modp_factor,
     wada,
@@ -164,7 +163,7 @@ def extract_GH(f, p):
     det Fox(R0)^Phi, is split-checked (directly, then after peeling a
     y*t unit).  Raises NonExactDivision or NotSplit for knots that do
     not admit the factorization route (expected outside H(p))."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     pres = presentation(f)
     return _extract_gh(f, p, pres, dihedral_rep(pres, p, "xi"))
 
@@ -201,12 +200,8 @@ def _split_determinant(form, p):
     H this is one member of an {f(t), f(-t)} pair.  gamma(G) and
     gamma(H) are polynomials in C_n, so they commute with V_n because
     V_n commutes with C_n (checked once, by v_matrix)."""
-    n = (p - 1) // 2
-    C = omega_companion(n)
-    V = _lift_int_matrix(v_matrix(n))
-    gG = gamma_substitute(form.G, C)
-    gH = gamma_substitute(form.H, C)
-    return (gG - V * gH).det()
+    V = _lift_int_matrix(v_matrix((p - 1) // 2))
+    return (gamma_substitute(form.G) - V * gamma_substitute(form.H)).det()
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +457,7 @@ def conjecture_report(f, p):
     congruences, and the torus-part probe.  The presentation, its xi
     rep, D(t) and Delta(t) are built once, and so is the mod-p factor u
     that the pairing and both congruences read."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     return _conjecture_report(f, p, hp_expansion(f, p) is not None)
 
 
@@ -471,7 +466,7 @@ def _conjecture_report(f, p, in_hp):
     f has an H(p) expansion (``in_hp``)."""
     pres = presentation(f)
     rep = dihedral_rep(pres, p, "xi")
-    D = _dihedral_total(pres, rep, p)
+    D = _dihedral_total(pres, rep)
     u = modp_factor(alexander(pres), p)
     split_ok = False
     q = fpoly = F = None

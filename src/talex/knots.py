@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .representations import is_prime, trivial_rep
+from .laurent import PreconditionError
+from .representations import require_prime_divisor, trivial_rep
 from .words import FreeWord, fox_derivative
 
 
@@ -28,19 +29,20 @@ class TwoBridgeFraction:
 
     def __post_init__(self):
         if self.alpha < 1 or self.alpha % 2 == 0:
-            raise ValueError("alpha must be odd and positive (knots, not links)")
+            raise PreconditionError("alpha must be odd and positive (knots, not links)")
         if not (0 < self.beta < self.alpha):
-            raise ValueError("need 0 < beta < alpha")
+            raise PreconditionError("need 0 < beta < alpha")
         if gcd(self.alpha, self.beta) != 1:
-            raise ValueError("alpha and beta must be coprime")
+            raise PreconditionError("alpha and beta must be coprime")
 
     @classmethod
     def parse(cls, text):
         """Parse the CLI syntax 'beta/alpha', e.g. '19/85'."""
         beta_s, _, alpha_s = text.partition("/")
-        if not alpha_s:
-            raise ValueError(f"expected 'beta/alpha', got {text!r}")
-        return cls(int(alpha_s), int(beta_s))
+        try:
+            return cls(int(alpha_s), int(beta_s))
+        except ValueError as e:
+            raise PreconditionError(f"bad fraction {text!r}: {e}") from None
 
     def __str__(self):
         return f"{self.beta}/{self.alpha}"
@@ -130,8 +132,10 @@ def hp_expansion(f, p):
     of the Schubert forms beta/alpha, (beta - alpha)/alpha, beta*/alpha,
     (beta* - alpha)/alpha (beta* = beta^-1 mod alpha), which certifies
     membership in H(p); None when no Schubert form has such an expansion.
-    The mirror forms need no search: negating every entry keeps the
-    pattern.
+    Such a fraction has a denominator divisible by p (its continuant is
+    0 mod p), so p must be an odd prime dividing alpha (PreconditionError
+    otherwise).  The mirror forms need no search: negating every entry
+    keeps the pattern.
 
     Depth-first with exact tails: choosing a leading entry a turns the
     target r into 1/r - a, and since every admissible entry has
@@ -142,8 +146,7 @@ def hp_expansion(f, p):
     denominator, so the search ends at depth below alpha and is
     exhaustive.
     """
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_prime_divisor(f, p)
 
     def entries_at(pos, r):
         # admissible entries a with |1/r - a| <= 1

@@ -47,9 +47,20 @@ class DegreeLimitExceeded(RuntimeError):
     """Raised when a polynomial outgrows the TALEX_MAX_DEGREE guard."""
 
 
+class PreconditionError(ValueError):
+    """An input outside the paper's hypotheses: a malformed fraction, p
+    not an odd prime dividing alpha, q < 1 or gcd(q, p) > 1 for N(q,p),
+    no K-metacyclic representation at (p, k), or a malformed
+    TALEX_MAX_DEGREE.  The one way talex reports an invalid input."""
+
+
 def _degree_cap():
     cap = os.environ.get("TALEX_MAX_DEGREE")
-    return int(cap) if cap else None
+    if not cap:
+        return None
+    if not (cap.isascii() and cap.isdigit()):
+        raise PreconditionError(f"TALEX_MAX_DEGREE={cap!r} is not a nonnegative integer")
+    return int(cap)
 
 
 def _check_span(span):

@@ -643,8 +643,9 @@ def _companion_poly_matrix(C, terms):
     )
 
 
-def gamma_substitute(p, C):
-    """Substitute the companion matrix C for the quotient generator.
+def gamma_substitute(p):
+    """Substitute the companion matrix C of the coefficient modulus for
+    the quotient generator.
 
     Each coefficient residue r(omega) of ``p`` (a LaurentPoly over a
     QuotientRing) becomes the integer matrix r(C); the result is a
@@ -654,9 +655,7 @@ def gamma_substitute(p, C):
     ring = p.ring
     if not isinstance(ring, QuotientRing):
         raise RingMismatch("gamma substitution starts from quotient coefficients")
-    mod_comp = companion_matrix(LaurentPoly.from_int_coeffs(ring.modulus))
-    if mod_comp.entries != C.entries:
-        raise ValueError("companion matrix does not match the coefficient modulus")
+    C = companion_matrix(LaurentPoly.from_int_coeffs(ring.modulus))
     terms = (
         (p.min_deg + idx, e, coef)
         for idx, residue in enumerate(p.coeffs)
@@ -670,28 +669,14 @@ def cyclic_product(P, m):
     """Product of P(zeta * t) over all roots zeta of the monic integer
     polynomial m, with multiplicity, computed exactly as det P(t*C_m).
 
-    P may be Laurent; m(0) must be a unit so that C_m is invertible.
+    P is a polynomial (min_deg 0), as every canonical total is.
     """
     if P.ring is not ZZ or m.ring is not ZZ:
         raise RingMismatch("cyclic_product works over integer coefficients")
-    if m.is_zero or m.coeffs[-1] != 1 or m.min_deg != 0:
-        raise ValueError("m must be monic with min_deg 0")
+    if P.min_deg != 0:
+        raise ValueError("cyclic_product needs min_deg 0")
     C = companion_matrix(m)
-    d = C.rows
     if P.is_zero:
         return LaurentPoly.zero()
-    shift = P.min_deg
-    base = P.shift(-shift)
-    if shift and abs(m.coeffs[0]) != 1:
-        raise ValueError("Laurent input needs m(0) to be a unit")
-    terms = ((k, k, coef) for k, coef in enumerate(base.coeffs) if coef)
-    result = _companion_poly_matrix(C, terms).det()
-    if shift:
-        # each root contributes (zeta*t)^shift; the product of the roots
-        # is det(C), a unit here, so the correction is det(C)^shift * t^(d*shift)
-        det_c = C.det()
-        unit = -1 if (det_c == -1 and shift % 2) else 1
-        result = result.shift(shift * d)
-        if unit == -1:
-            result = -result
-    return result
+    terms = ((k, k, coef) for k, coef in enumerate(P.coeffs) if coef)
+    return _companion_poly_matrix(C, terms).det()

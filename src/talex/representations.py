@@ -36,12 +36,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
 
-from .laurent import LaurentPoly, cyclotomic_poly
+from .laurent import LaurentPoly, PreconditionError, cyclotomic_poly
 from .matrices import RingMatrix, companion_matrix
 from .rings import ZZ, QuotientRing
 
 
-class NoValidAssignment(ValueError):
+class NoValidAssignment(PreconditionError):
     """No meridian assignment maps all relators to the identity."""
 
 
@@ -56,9 +56,22 @@ def is_prime(n):
     return True
 
 
-def _require_odd_prime(p):
+def require_odd_prime(p):
     if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise PreconditionError(f"p={p} is not an odd prime")
+
+
+def require_prime_divisor(f, p):
+    """The paper's standing hypothesis on K(beta/alpha) at p: p = 2n+1 an
+    odd prime dividing alpha, so that D_p-representations exist."""
+    require_odd_prime(p)
+    if f.alpha % p != 0:
+        raise PreconditionError(f"p={p} does not divide alpha={f.alpha}")
+
+
+def require_q(q):
+    if q < 1:
+        raise PreconditionError(f"q={q} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +108,7 @@ def omega_companion(n):
 @lru_cache(maxsize=None)
 def dihedral_pi(p):
     """The faithful p-dimensional permutation images (x, y) of D_p."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     return _pi_images(p)
 
 
@@ -116,7 +129,7 @@ def _pi_images(p):
 @lru_cache(maxsize=None)
 def dihedral_pi0(p):
     """The degree-2n irreducible integer images (x, y) of D_p."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     return _pi0_images(p)
 
 
@@ -137,7 +150,7 @@ def _pi0_images(p):
 @lru_cache(maxsize=None)
 def dihedral_xi(p):
     """The 2x2 images (X, Y) over Z[omega], omega a root of theta_n."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     ring = omega_ring((p - 1) // 2)
     w = ring.gen()
     one, zero = ring.one, ring.zero
@@ -151,7 +164,7 @@ def dihedral_xi(p):
 def dihedral_eta(p):
     """The integer 2n-dimensional images of eta = xi followed by the
     companion substitution omega -> C_n."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     return _eta_images(p)
 
 
@@ -193,7 +206,7 @@ class XYPowerTable:
 
 @lru_cache(maxsize=None)
 def xy_power_table(p):
-    _require_odd_prime(p)
+    require_odd_prime(p)
     X, Y = dihedral_xi(p)
     ring = X.ring
     XY = X * Y
@@ -355,7 +368,7 @@ def h_value(n, k):
 @lru_cache(maxsize=None)
 def binary_dihedral(p):
     """Trace-free 2x2 images (x, y) over Z[v]/(1 + v + ... + v^{p-1})."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     ring = QuotientRing(cyclotomic_poly(p).coeffs)
     v = ring.gen()
     v_inv = ring.pow(v, p - 1)
@@ -369,9 +382,10 @@ def binary_dihedral(p):
 def nqp_images(q, p):
     """N(q,p) maximum-permutation images: x -> pi(x) (x) C and
     y -> pi(y) (x) C with C the transpose of the companion of t^{2q}-1."""
-    _require_odd_prime(p)
-    if q < 1 or gcd(q, p) != 1:
-        raise ValueError("need q >= 1 and gcd(q, p) = 1")
+    require_odd_prime(p)
+    require_q(q)
+    if gcd(q, p) != 1:
+        raise PreconditionError(f"N(q,p) needs gcd(q, p) = 1, got q={q}, p={p}")
     shift = companion_matrix(
         LaurentPoly.from_int_coeffs([-1] + [0] * (2 * q - 1) + [1])
     ).transpose()
@@ -397,10 +411,10 @@ def kmeta_images(p, k):
     the nonzero residues by k^-1, so that conjugation by s raises a to
     the k-th power.  k must have multiplicative order >= 2 mod p.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     k = k % p
     if k in (0, 1):
-        raise ValueError("k must differ from 0 and 1 mod p")
+        raise PreconditionError(f"k must differ from 0 and 1 mod p={p}")
     k_inv = pow(k, p - 2, p)
     sigma_s = _perm_matrix([(i * k_inv) % p for i in range(p)])
     sigma_a = _perm_matrix([(i + 1) % p for i in range(p)])

@@ -19,18 +19,21 @@ from dataclasses import dataclass
 from .knots import alexander, presentation
 from .laurent import (
     LaurentPoly,
+    PreconditionError,
     cyclotomic_poly,
     gf_exact_div,
     modp_unit_equal,
 )
-from .matrices import RingMatrix, companion_matrix, cyclic_product, gamma_substitute
+from .matrices import RingMatrix, cyclic_product, gamma_substitute
 from .representations import (
     binary_dihedral_rep,
     dihedral_rep,
+    kmeta_images,
     kmeta_rep,
     multiplicative_order,
     nqp_rep,
-    omega_companion,
+    require_prime_divisor,
+    require_q,
 )
 from .rings import NonExactDivision
 from .words import FreeWord, ImageSum, fox_derivative, rep_evaluate
@@ -38,11 +41,6 @@ from .words import FreeWord, ImageSum, fox_derivative, rep_evaluate
 
 class CrossCheckMismatch(AssertionError):
     """Two independent computation routes disagree."""
-
-
-def _require_divides(f, p):
-    if f.alpha % p != 0:
-        raise ValueError(f"p={p} does not divide alpha={f.alpha}")
 
 
 def wada_parts(pres, rep):
@@ -75,23 +73,20 @@ def dihedral_total(f, p):
     """The total dihedral twisted polynomial D(t): gamma-substitute the
     omega coefficients of the xi-Wada quotient and take the
     determinant."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     pres = presentation(f)
-    return _dihedral_total(pres, dihedral_rep(pres, p, "xi"), p)
+    return _dihedral_total(pres, dihedral_rep(pres, p, "xi"))
 
 
-def _dihedral_total(pres, rep, p):
-    """dihedral_total from a knot's presentation and its xi rep at p."""
-    quotient = wada(pres, rep)
-    n = (p - 1) // 2
-    M = gamma_substitute(quotient, omega_companion(n))
-    return M.det().canonical()
+def _dihedral_total(pres, rep):
+    """dihedral_total from a knot's presentation and its xi rep."""
+    return gamma_substitute(wada(pres, rep)).det().canonical()
 
 
 def perm_dihedral_total(f, p):
     """The p-dimensional permutation-dihedral twisted polynomial; equals
     [Delta/(1-t)] times the irreducible total (tested, not assumed)."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     pres = presentation(f)
     rep = dihedral_rep(pres, p, "pi")
     return wada(pres, rep)
@@ -101,7 +96,7 @@ def irr_dihedral_total(f, p):
     """The twisted polynomial of the 2n-dimensional irreducible integer
     representation, computed directly; equals dihedral_total by the
     pi0 ~ eta conjugacy (tested, not assumed)."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     pres = presentation(f)
     rep = dihedral_rep(pres, p, "pi0")
     return wada(pres, rep)
@@ -112,15 +107,13 @@ def binary_dihedral_total_of(pres, p, assignment=None):
     Z[v]/(1+v+...+v^{p-1}), then v -> companion substitution and one
     determinant."""
     rep = binary_dihedral_rep(pres, p, assignment=assignment)
-    quotient = wada(pres, rep)
-    companion = companion_matrix(cyclotomic_poly(p))
-    return gamma_substitute(quotient, companion).det().canonical()
+    return gamma_substitute(wada(pres, rep)).det().canonical()
 
 
 def binary_dihedral_total(f, p):
     """The binary dihedral total of a 2-bridge knot; also checks the
     product-over-(+-i) identity against the dihedral total."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     total = binary_dihedral_total_of(presentation(f), p)
     # Phi_4 = z^2 + 1: the product over +-i is the metacyclic total at q = 2
     if metacyclic_total(f, 2, p) != total:
@@ -131,17 +124,18 @@ def binary_dihedral_total(f, p):
 
 
 def metacyclic_total(f, q, p):
-    """Product of the dihedral total over the primitive 2q-th roots."""
-    _require_divides(f, p)
-    if q == 1:
-        return dihedral_total(f, p)
+    """Product of the dihedral total over the primitive 2q-th roots; at
+    q = 1 that is D(-t), which equals D up to units (rho (x) epsilon is
+    rho for the 2-dimensional dihedral representations)."""
+    require_prime_divisor(f, p)
+    require_q(q)
     return cyclic_product(dihedral_total(f, p), cyclotomic_poly(2 * q)).canonical()
 
 
 def nqp_total(f, q, p):
     """The 2pq-dimensional N(q,p) twisted polynomial, computed directly
     and re-derived through the product formula; raises on mismatch."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     pres = presentation(f)
     rep = nqp_rep(pres, q, p)
     direct = wada(pres, rep)
@@ -169,10 +163,13 @@ class KMetaReport:
 def kmeta_total(pres, p, k, assignment=None):
     """The K-metacyclic twisted polynomial plus the Conjecture-A report:
     divide by Delta/(1-t) exactly and recognize the quotient as a
-    polynomial in t^m, m the order of k mod p."""
+    polynomial in t^m, m the order of k mod p.  Raises PreconditionError
+    unless p is an odd prime, k is neither 0 nor 1 mod p and
+    Delta(k) = 0 mod p, or when no meridian assignment works."""
+    kmeta_images(p, k)  # the p and k preconditions, before Delta
     delta = alexander(pres)
     if delta.eval_int(k) % p != 0:
-        raise ValueError(
+        raise PreconditionError(
             f"Delta({k}) != 0 mod {p}: no K-metacyclic representation exists"
         )
     rep = kmeta_rep(pres, p, k, assignment=assignment)
@@ -219,7 +216,7 @@ def modp_congruence(f, p):
     modp_factor(Delta, p)?  That is the paper's congruence
     D = {Delta(t)/(1+t)}^n {Delta(-t)/(1-t)}^n mod p; False when u does
     not exist."""
-    _require_divides(f, p)
+    require_prime_divisor(f, p)
     u = modp_factor(alexander(presentation(f)), p)
     return u is not None and _modp_congruent(dihedral_total(f, p), u)
 

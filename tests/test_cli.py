@@ -1,9 +1,14 @@
 """The command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import talex
 from conftest import swinnerton_dyer
 from talex.cli import main
 from talex.laurent import LaurentPoly
@@ -119,13 +124,58 @@ def test_exit_codes(capsys):
     assert run(capsys, "verify", "no-such-suite")[0] == 1
 
 
+def test_a_plain_value_error_is_not_reported_as_a_precondition_error(
+    capsys, monkeypatch
+):
+    # only PreconditionError means an invalid input: any other ValueError
+    # is a fault and surfaces, instead of exiting 2 like a bad input
+    def broken(*args, **kw):
+        raise ValueError("injected")
+
+    monkeypatch.setattr("talex.cli.kmeta_total", broken)
+    with pytest.raises(ValueError, match="injected"):
+        main(["kmeta", "1/3", "-p", "3", "-k", "2"])
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cap, argv, code",
+    [
+        ("10", ["alexander", "1/3"], 0),
+        ("10", ["dihedral", "19/85", "-p", "5"], 2),
+        ("10", ["verify", "paper"], 2),
+        ("abc", ["dihedral", "19/85", "-p", "5"], 2),
+        ("-5", ["dihedral", "19/85", "-p", "5"], 2),
+    ],
+)
+def test_the_cli_runs_under_a_small_or_malformed_degree_cap(cap, argv, code):
+    # a fresh interpreter, so that the cap is in force while talex.cli
+    # and its imports load
+    src = str(Path(talex.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, TALEX_MAX_DEGREE=cap)
+    run = subprocess.run(
+        [sys.executable, "-m", "talex.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code:
+        assert run.stderr.startswith("error:")
+        assert "TALEX_MAX_DEGREE" in run.stderr
+    else:
+        assert run.stdout.strip() == "alexander: 1 - 1*t + 1*t^2"
+
+
 def test_factorization_above_the_cap_is_a_precondition_error(capsys, monkeypatch):
     # a total whose recombination would exceed the cap (S5: 16 or more
     # factors mod every prime) is refused with exit code 2, not a traceback
     import talex.factorization
 
     s5 = swinnerton_dyer([2, 3, 5, 7, 11])
-    monkeypatch.setattr(talex.factorization, "_dihedral_total", lambda pres, rep, p: s5)
+    monkeypatch.setattr(talex.factorization, "_dihedral_total", lambda pres, rep: s5)
     code, _, err = run(capsys, "dihedral", "2/7", "-p", "7", "--factor")
     assert code == 2
     assert "recombination cap" in err
@@ -164,7 +214,7 @@ def test_verify_census_fails_a_knot_with_an_expansion_that_does_not_split(
     def not_split(*args, **kw):
         raise NotSplit("injected")
 
-    monkeypatch.setattr("talex.cli.SUITES", dict(verify.SUITES, census=two_samples))
+    monkeypatch.setattr("talex.verify.SUITES", dict(verify.SUITES, census=two_samples))
     monkeypatch.setattr("talex.factorization._extract_gh", not_split)
     code, out, _ = run(capsys, "verify", "census")
     assert code == 1
@@ -216,7 +266,7 @@ def test_verify_prints_error_and_exits_nonzero(capsys, monkeypatch, advisory):
     from talex import verify
 
     suites = dict(verify.SUITES, boom=lambda **kw: raising_suite(advisory))
-    monkeypatch.setattr("talex.cli.SUITES", suites)
+    monkeypatch.setattr("talex.verify.SUITES", suites)
     code, out, _ = run(capsys, "verify", "boom")
     assert code == 1
     assert "ERROR    crashes: ZeroDivisionError: injected" in out

@@ -204,10 +204,9 @@ def test_gamma_images_commute_with_v():
             V, C = v_matrix(n), omega_companion(n)
             assert V * C == C * V, n
     form = extract_GH(F(85, 19), 5)
-    C = omega_companion(2)
     V = v_matrix(2).map_entries(LaurentPoly.const, ring=ZZ_POLY)
     for part in (form.G, form.H):
-        image = gamma_substitute(part, C)
+        image = gamma_substitute(part)
         assert image * V == V * image
     assert not _split_determinant(form, 5).is_zero
 
@@ -315,7 +314,9 @@ def test_census_suite_builds_D_once_per_sample(monkeypatch):
         monkeypatch.setattr(
             module,
             "_dihedral_total",
-            lambda pres, rep, p, fn=fn: builds.append((pres, p)) or fn(pres, rep, p),
+            # the coefficient modulus theta_n of the xi rep names p
+            lambda pres, rep, fn=fn: builds.append((pres, rep.coeff_ring.modulus))
+            or fn(pres, rep),
         )
     _, all_ok = talex.verify.run_suite(talex.verify.census_suite(seed=7, count=20))
     assert all_ok
@@ -579,7 +580,7 @@ def test_forged_total_without_a_congruent_pairing(monkeypatch):
     assert not congruent(G, u, p)
     forged = (G * G.negate_t()).canonical()
     monkeypatch.setattr(
-        talex.factorization, "_dihedral_total", lambda pres, rep, p: forged
+        talex.factorization, "_dihedral_total", lambda pres, rep: forged
     )
     report = conjecture_report(f, p)
     assert report.D == forged and not report.split

@@ -17,6 +17,7 @@ from talex.knots import (
     presentation_8_5,
     random_fraction,
 )
+from talex.laurent import PreconditionError
 from talex.words import FreeWord
 
 
@@ -29,6 +30,12 @@ def test_fraction_validation():
     with pytest.raises(ValueError):
         TwoBridgeFraction(9, 9)
     assert TwoBridgeFraction.parse("19/85") == TwoBridgeFraction(85, 19)
+
+
+@pytest.mark.parametrize("text", ["19", "a/85", "19/85/1", "4/9x", "19/84", "0/5", "3/9"])
+def test_malformed_fraction_text_is_a_precondition_error(text):
+    with pytest.raises(PreconditionError, match="bad fraction"):
+        TwoBridgeFraction.parse(text)
 
 
 def test_epsilon_examples():
@@ -85,8 +92,10 @@ def test_hp_expansion_goldens():
 
 
 def test_hp_expansion_decides_no_expansion():
-    # K(1/5) has no H(3) expansion: 3 does not divide det = 5
-    assert hp_expansion(TwoBridgeFraction(5, 1), 3) is None
+    # K(1/5) has no H(3) expansion: 3 does not divide det = 5, which
+    # puts it outside the contract of every p-taking entry point
+    with pytest.raises(PreconditionError):
+        hp_expansion(TwoBridgeFraction(5, 1), 3)
     assert hp_expansion(TwoBridgeFraction(9, 4), 3) is None
 
 

@@ -16,6 +16,7 @@ from talex.laurent import (
     _SCHOOLBOOK_CUTOFF,
     DegreeLimitExceeded,
     LaurentPoly,
+    PreconditionError,
     _byte_width,
     _gf_divmod,
     _pack,
@@ -346,6 +347,13 @@ def test_degree_guard(monkeypatch):
         Pstep(7, 1, 1) * Pstep(7, 1, 1)
     monkeypatch.delenv("TALEX_MAX_DEGREE")
     assert Pstep(7, 1, 1) * Pstep(7, 1, 1) == Pstep(7, 1, 2, 1)
+
+
+@pytest.mark.parametrize("cap", ["abc", "-5", "1.5", " 7", "²"])
+def test_malformed_degree_guard_is_a_precondition_error(monkeypatch, cap):
+    monkeypatch.setenv("TALEX_MAX_DEGREE", cap)
+    with pytest.raises(PreconditionError, match="TALEX_MAX_DEGREE"):
+        Pstep(7, 1, 1) * Pstep(7, 1, 1)
 
 
 def _gf_coprime(a, b, p):

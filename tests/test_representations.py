@@ -5,7 +5,7 @@ import pytest
 
 from conftest import P
 from talex.knots import TwoBridgeFraction, presentation, presentation_8_5
-from talex.laurent import LaurentPoly, cyclotomic_poly
+from talex.laurent import LaurentPoly, PreconditionError, cyclotomic_poly
 from talex.matrices import RingMatrix, companion_matrix
 from talex.representations import (
     MatrixRep,
@@ -212,6 +212,31 @@ def test_nqp_image_orders():
 def test_nqp_gcd_guard():
     with pytest.raises(ValueError):
         nqp_images(3, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dihedral_xi(9),
+        lambda: binary_dihedral(1),
+        lambda: nqp_images(3, 3),
+        lambda: nqp_images(0, 5),
+        lambda: kmeta_images(7, 1),
+        lambda: kmeta_images(7, 14),
+        lambda: kmeta_images(15, 2),
+    ],
+)
+def test_group_orders_outside_the_paper_are_precondition_errors(build):
+    with pytest.raises(PreconditionError):
+        build()
+
+
+def test_no_valid_assignment_is_a_precondition_error():
+    # Delta(-2) = 31 for K(1/5): no K-metacyclic assignment at p = 7
+    pres = presentation(TwoBridgeFraction(5, 1))
+    with pytest.raises(NoValidAssignment) as info:
+        kmeta_rep(pres, 7, -2)
+    assert isinstance(info.value, PreconditionError)
 
 
 def test_kmeta_images():

@@ -12,8 +12,17 @@ import talex
 
 from conftest import P, Pstep, prod
 from modp_oracle import nqp_variant_holds, triangular_structure
-from talex.knots import TwoBridgeFraction, alexander, presentation, presentation_8_5, random_fraction
-from talex.laurent import LaurentPoly, modp_unit_equal
+from talex.factorization import conjecture_report, extract_GH, f_polynomial
+from talex.knots import (
+    TwoBridgeFraction,
+    alexander,
+    hp_expansion,
+    presentation,
+    presentation_8_5,
+    random_fraction,
+)
+from talex.laurent import LaurentPoly, PreconditionError, modp_unit_equal
+from talex.matrices import RingMatrix
 from talex.representations import dihedral_rep, dihedral_xi, trivial_rep
 from talex.rings import NonExactDivision
 from talex.twisted import (
@@ -21,6 +30,7 @@ from talex.twisted import (
     binary_dihedral_total,
     binary_dihedral_total_of,
     dihedral_total,
+    irr_dihedral_total,
     kmeta_total,
     metacyclic_total,
     modp_congruence,
@@ -83,6 +93,45 @@ def test_dihedral_requires_divisibility():
         dihedral_total(F(5, 1), 3)
 
 
+INVALID_INPUTS = {
+    "dihedral p=9 not prime": lambda: dihedral_total(F(9, 1), 9),
+    "metacyclic q=0": lambda: metacyclic_total(F(9, 1), 0, 3),
+    "nqp gcd(q, p)=3": lambda: nqp_total(F(9, 1), 3, 3),
+    "nqp q=0": lambda: nqp_total(F(9, 1), 0, 3),
+    "hp_expansion p=4": lambda: hp_expansion(F(9, 1), 4),
+    "kmeta Delta(-2)=31 at p=7": lambda: kmeta_total(presentation(F(5, 1)), 7, -2),
+    "kmeta p=9 not prime": lambda: kmeta_total(presentation(F(9, 1)), 9, 2),
+    "kmeta k=1 mod p": lambda: kmeta_total(presentation(F(9, 1)), 3, 4),
+    # p = 3 does not divide alpha = 5, for every public f-taking entry point
+    **{
+        f"{fn.__name__} 3 does not divide 5": lambda fn=fn: fn(F(5, 1), 3)
+        for fn in (
+            dihedral_total,
+            perm_dihedral_total,
+            irr_dihedral_total,
+            binary_dihedral_total,
+            modp_congruence,
+            extract_GH,
+            f_polynomial,
+            conjecture_report,
+            hp_expansion,
+        )
+    },
+    "metacyclic 3 does not divide 5": lambda: metacyclic_total(F(5, 1), 2, 3),
+    "nqp 3 does not divide 5": lambda: nqp_total(F(5, 1), 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_input_is_refused_before_any_determinant(monkeypatch, case):
+    calls = []
+    det = RingMatrix.det
+    monkeypatch.setattr(RingMatrix, "det", lambda self: calls.append(1) or det(self))
+    with pytest.raises(PreconditionError):
+        INVALID_INPUTS[case]()
+    assert calls == []
+
+
 def test_perm_dihedral_cross_identity():
     # [Delta/(1-t)] route: perm total * (1-t) = Delta * dihedral total
     rng = random.Random(11)
@@ -121,8 +170,15 @@ def test_binary_dihedral_crosscheck_internal():
 
 
 def test_metacyclic_q1_regression():
-    for frac, p in [((3, 1), 3), ((9, 1), 3), ((27, 5), 3)]:
-        assert metacyclic_total(F(*frac), 1, p) == dihedral_total(F(*frac), p)
+    # Phi_2 = z + 1 gives D(-t), and D(-t) is D up to units because
+    # rho (x) epsilon is rho for the 2-dimensional dihedral representations
+    rng = random.Random(19)
+    cases = [(F(3, 1), 3), (F(9, 1), 3), (F(27, 5), 3)]
+    for _ in range(16):
+        p = rng.choice([3, 5, 7, 11])
+        cases.append((random_fraction(rng, p=p, max_alpha=300), p))
+    for f, p in cases:
+        assert metacyclic_total(f, 1, p) == dihedral_total(f, p), (f, p)
 
 
 def test_metacyclic_q2_equals_binary_dihedral():
