@@ -51,6 +51,6 @@ print("  factor F:", report.factor, "| period:", report.period,
 
 print()
 print("the non-2-bridge knot 8_5 (3 generators, 2 relators):")
-r5 = kmeta_total(presentation_8_5(), 7, -2, assignment=(0, 1, 0))
+r5 = kmeta_total(presentation_8_5(), 7, -2)
 print("  factor F:", r5.factor)
 print("  Conjecture A:", r5.conjecture_a_holds)

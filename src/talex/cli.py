@@ -27,7 +27,12 @@ from .knots import (
     hp_expansion,
     presentation,
 )
-from .laurent import DegreeLimitExceeded, LaurentPoly, PreconditionError
+from .laurent import (
+    DegreeLimitExceeded,
+    LaurentPoly,
+    PreconditionError,
+    _degree_cap,
+)
 from .rings import NonExactDivision
 from .twisted import (
     CrossCheckMismatch,
@@ -44,42 +49,43 @@ USAGE_ERROR, PRECONDITION_ERROR, CERTIFICATE_ERROR = 1, 2, 3
 
 
 class UsageError(Exception):
-    """A command line that names no knot or an unknown preset or suite."""
-
-
-def _poly_out(p):
-    return p.to_json()
+    """A command line that names no knot, two knots, or an unknown preset
+    or suite."""
 
 
 def _emit(payload, fmt):
+    """Print a command's payload; its polynomials are LaurentPoly values,
+    encoded by to_json only for JSON output."""
     if fmt == "json":
+        payload = {
+            key: value.to_json() if isinstance(value, LaurentPoly) else value
+            for key, value in payload.items()
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     for key, value in payload.items():
-        if isinstance(value, dict) and "coeffs" in value:
-            value = str(LaurentPoly.from_json(value))
         print(f"{key}: {value}")
 
 
 def cmd_alexander(args):
     f = TwoBridgeFraction.parse(args.fraction)
-    return {"alexander": _poly_out(alexander(presentation(f)))}
+    return {"alexander": alexander(presentation(f))}
 
 
 def cmd_dihedral(args):
     f = TwoBridgeFraction.parse(args.fraction)
     if args.rep == "perm":
-        return {"D": _poly_out(perm_dihedral_total(f, args.p))}
+        return {"D": perm_dihedral_total(f, args.p)}
     if args.rep == "irr":
-        return {"D": _poly_out(irr_dihedral_total(f, args.p))}
+        return {"D": irr_dihedral_total(f, args.p)}
     if not args.factor:
-        return {"D": _poly_out(dihedral_total(f, args.p))}
+        return {"D": dihedral_total(f, args.p)}
     report = conjecture_report(f, args.p)
     return {
-        "D": _poly_out(report.D),
-        "F": _poly_out(report.F) if report.F is not None else None,
-        "q": _poly_out(report.q) if report.q is not None else None,
-        "f": _poly_out(report.f) if report.f is not None else None,
+        "D": report.D,
+        "F": report.F,
+        "q": report.q,
+        "f": report.f,
         "split": report.split,
         "hp": report.hp,
         "modp": report.modp,
@@ -89,29 +95,29 @@ def cmd_dihedral(args):
 
 def cmd_binary_dihedral(args):
     f = TwoBridgeFraction.parse(args.fraction)
-    return {"D": _poly_out(binary_dihedral_total(f, args.p))}
+    return {"D": binary_dihedral_total(f, args.p)}
 
 
 def cmd_metacyclic(args):
     f = TwoBridgeFraction.parse(args.fraction)
     if args.rep == "max":
-        return {"D": _poly_out(nqp_total(f, args.q, args.p))}
-    return {"D": _poly_out(metacyclic_total(f, args.q, args.p))}
+        return {"D": nqp_total(f, args.q, args.p)}
+    return {"D": metacyclic_total(f, args.q, args.p)}
 
 
 def cmd_kmeta(args):
+    if bool(args.preset) == bool(args.fraction):
+        raise UsageError("kmeta takes one knot: a fraction or --preset")
     if args.preset:
         if args.preset not in PRESETS:
             raise UsageError(f"unknown preset {args.preset!r}")
         pres = PRESETS[args.preset]()
     else:
-        if not args.fraction:
-            raise UsageError("kmeta needs a fraction or --preset")
         pres = presentation(TwoBridgeFraction.parse(args.fraction))
     report = kmeta_total(pres, args.p, args.k)
     return {
-        "total": _poly_out(report.total),
-        "F": _poly_out(report.factor) if report.factor is not None else None,
+        "total": report.total,
+        "F": report.factor,
         "period": report.period,
         "conjecture_a": report.conjecture_a_holds,
     }
@@ -232,6 +238,7 @@ def main(argv=None):
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
+        _degree_cap()  # a malformed cap is refused by every command
         result = args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -37,9 +37,9 @@ from .representations import (
 )
 from .rings import ZZ, NonExactDivision
 from .twisted import (
-    _dihedral_total,
     _modp_congruent,
     dihedral_total,
+    gamma_total,
     modp_factor,
     wada,
 )
@@ -466,7 +466,7 @@ def _conjecture_report(f, p, in_hp):
     f has an H(p) expansion (``in_hp``)."""
     pres = presentation(f)
     rep = dihedral_rep(pres, p, "xi")
-    D = _dihedral_total(pres, rep)
+    D = gamma_total(pres, rep)
     u = modp_factor(alexander(pres), p)
     split_ok = False
     q = fpoly = F = None

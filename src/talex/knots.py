@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .laurent import PreconditionError
+from .matrices import ZZ_POLY, RingMatrix
 from .representations import require_prime_divisor, trivial_rep
 from .words import FreeWord, fox_derivative
 
@@ -184,26 +185,18 @@ def hp_expansion(f, p):
 
 
 def alexander(pres):
-    """The Alexander polynomial from the abelianized Fox matrix, whose
-    entries are the streamed Fox derivatives under the trivial image.
-
-    For two generators this is the psi-evaluated derivative of the
-    relator by x; in general the determinant of the Fox minor omitting
-    one generator's column (a unit times the Alexander polynomial for
-    Wirtinger presentations).  Canonically normalized.
+    """The Alexander polynomial: the determinant of the abelianized Fox
+    minor omitting the first generator's column, whose entries are the
+    streamed Fox derivatives under the trivial image (a unit times the
+    Alexander polynomial for Wirtinger presentations).  Canonically
+    normalized.
     """
-    k = pres.num_gens
     rep = trivial_rep(pres)
-    if k == 2:
-        return _psi_fox(pres.relators[0], 0, rep).canonical()
-    from .matrices import RingMatrix, ZZ_POLY
-
-    entries = [[_psi_fox(r, j, rep) for j in range(1, k)] for r in pres.relators]
+    entries = [
+        [fox_derivative(r, j, rep).augmentation() for j in range(1, pres.num_gens)]
+        for r in pres.relators
+    ]
     return RingMatrix(ZZ_POLY, entries).det().canonical()
-
-
-def _psi_fox(relator, j, rep):
-    return fox_derivative(relator, j, rep).augmentation()
 
 
 def random_fraction(rng, p=None, max_alpha=500):

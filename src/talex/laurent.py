@@ -284,8 +284,8 @@ class LaurentPoly:
         return cls(ring, k, [ring.one], _trusted=True)
 
     @classmethod
-    def from_int_coeffs(cls, coeffs, min_deg=0, ring=ZZ):
-        return cls(ring, min_deg, [ring.from_int(c) for c in coeffs])
+    def from_int_coeffs(cls, coeffs, min_deg=0):
+        return cls(ZZ, min_deg, [ZZ.from_int(c) for c in coeffs])
 
     @classmethod
     def from_dict(cls, d, ring=ZZ):

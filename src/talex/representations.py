@@ -6,8 +6,9 @@ Builds, exactly over the integers or over Z[omega] = Z[z]/(theta_n(z)):
   integer representation ``pi0`` of the dihedral group D_p (p = 2n+1),
 * the 2x2 representation ``xi`` over Z[omega], where omega is a root of
   the minimal polynomial theta_n,
-* its integer form ``eta`` obtained by substituting the companion
-  matrix C_n for omega, together with the conjugating matrix U_n,
+* the conjugating matrix U_n from pi0 to the integer form ``eta`` of xi
+  (omega -> the companion matrix C_n), whose images serve only as the
+  target of that conjugacy,
 * the square root V_n of 4E_n + C_n built from the alternating Catalan
   series (the engine behind the f(t)f(-t) factorization),
 * binary dihedral (trace-free 2x2 over the p-th cyclotomic ring),
@@ -34,6 +35,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 from math import comb, gcd
 
 from .laurent import LaurentPoly, PreconditionError, cyclotomic_poly
@@ -161,15 +163,9 @@ def dihedral_xi(p):
 
 
 @lru_cache(maxsize=None)
-def dihedral_eta(p):
+def _eta_images(p):
     """The integer 2n-dimensional images of eta = xi followed by the
     companion substitution omega -> C_n."""
-    require_odd_prime(p)
-    return _eta_images(p)
-
-
-@lru_cache(maxsize=None)
-def _eta_images(p):
     n = (p - 1) // 2
     C = omega_companion(n)
     E = RingMatrix.identity(ZZ, n)
@@ -553,37 +549,23 @@ def rep_from_pair(pres, s_img, a_img, exponents):
     return MatrixRep(pres, images)
 
 
-def search_assignment(pres, s_img, a_img, a_order, preferred=None):
-    """Find exponents so every relator maps to the identity.
+def search_assignment(pres, s_img, a_img, a_order):
+    """The rep generator_i -> s_img * a_img^e_i for the first exponents
+    under which every relator maps to the identity.
 
-    Tries ``preferred`` first (when given), then the default (0,1,...)
-    meridian pattern, then lexicographic tuples with the first
-    generator pinned to s_img.  All-equal tuples are skipped: they give
-    abelian images, never a genuine metacyclic representation.
+    Tries the default (0,1,...,1) meridian pattern first, then the
+    lexicographic tuples with the first generator pinned to s_img, one
+    at a time.  All-equal tuples are skipped: they give abelian images,
+    never a genuine metacyclic representation.
     """
     k = len(pres.gens)
-    candidates = []
-    if preferred is not None:
-        candidates.append(tuple(preferred))
-    candidates.append((0,) + (1,) * (k - 1))
-
-    def lex(rest):
-        if not rest:
-            yield ()
-            return
-        for e in range(a_order):
-            for tail in lex(rest - 1):
-                yield (e,) + tail
-
-    for tail in lex(k - 1):
-        candidates.append((0,) + tail)
-    seen = set()
-    for cand in candidates:
-        if cand in seen or len(set(cand)) == 1:
+    default = (0,) + (1,) * (k - 1)
+    lex = ((0,) + tail for tail in product(range(a_order), repeat=k - 1))
+    for cand in chain([default], (c for c in lex if c != default)):
+        if len(set(cand)) == 1:
             continue
-        seen.add(cand)
         try:
-            return rep_from_pair(pres, s_img, a_img, cand), cand
+            return rep_from_pair(pres, s_img, a_img, cand)
         except NoValidAssignment:
             continue
     raise NoValidAssignment(
@@ -599,7 +581,7 @@ def _rotation(x, y):
     return x.inverse() * y
 
 
-def dihedral_rep(pres, p, flavor="xi", assignment=None):
+def dihedral_rep(pres, p, flavor="xi"):
     """A dihedral representation of the presentation.
 
     flavor 'xi': 2x2 over Z[omega]; 'pi0': integer 2n; 'pi': integer p.
@@ -613,30 +595,24 @@ def dihedral_rep(pres, p, flavor="xi", assignment=None):
         X, Y = dihedral_pi0(p)
     elif flavor == "pi":
         X, Y = dihedral_pi(p)
-    elif flavor == "eta":
-        X, Y = dihedral_eta(p)
     else:
         raise ValueError(f"unknown dihedral flavor {flavor!r}")
-    rep, _ = search_assignment(pres, X, _rotation(X, Y), p, preferred=assignment)
-    return rep
+    return search_assignment(pres, X, _rotation(X, Y), p)
 
 
-def binary_dihedral_rep(pres, p, assignment=None):
+def binary_dihedral_rep(pres, p):
     x, y = binary_dihedral(p)
-    rep, _ = search_assignment(pres, x, _rotation(x, y), p, preferred=assignment)
-    return rep
+    return search_assignment(pres, x, _rotation(x, y), p)
 
 
-def nqp_rep(pres, q, p, assignment=None):
+def nqp_rep(pres, q, p):
     x, y = nqp_images(q, p)
-    rep, _ = search_assignment(pres, x, _rotation(x, y), p, preferred=assignment)
-    return rep
+    return search_assignment(pres, x, _rotation(x, y), p)
 
 
-def kmeta_rep(pres, p, k, assignment=None):
+def kmeta_rep(pres, p, k):
     sigma_s, sigma_a = kmeta_images(p, k)
-    rep, _ = search_assignment(pres, sigma_s, sigma_a, p, preferred=assignment)
-    return rep
+    return search_assignment(pres, sigma_s, sigma_a, p)
 
 
 def trivial_rep(pres):

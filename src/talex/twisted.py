@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .knots import alexander, presentation
 from .laurent import (
     LaurentPoly,
-    PreconditionError,
     cyclotomic_poly,
     gf_exact_div,
     modp_unit_equal,
@@ -28,7 +27,6 @@ from .matrices import RingMatrix, cyclic_product, gamma_substitute
 from .representations import (
     binary_dihedral_rep,
     dihedral_rep,
-    kmeta_images,
     kmeta_rep,
     multiplicative_order,
     nqp_rep,
@@ -69,18 +67,19 @@ def wada(pres, rep):
 # ---------------------------------------------------------------------------
 
 
+def gamma_total(pres, rep):
+    """The total of a rep over Z[z]/(m) over every conjugate of z: the
+    Wada quotient with the companion matrix of m substituted for z, and
+    one integer determinant."""
+    return gamma_substitute(wada(pres, rep)).det().canonical()
+
+
 def dihedral_total(f, p):
-    """The total dihedral twisted polynomial D(t): gamma-substitute the
-    omega coefficients of the xi-Wada quotient and take the
-    determinant."""
+    """The total dihedral twisted polynomial D(t), the gamma_total of
+    the xi rep."""
     require_prime_divisor(f, p)
     pres = presentation(f)
-    return _dihedral_total(pres, dihedral_rep(pres, p, "xi"))
-
-
-def _dihedral_total(pres, rep):
-    """dihedral_total from a knot's presentation and its xi rep."""
-    return gamma_substitute(wada(pres, rep)).det().canonical()
+    return gamma_total(pres, dihedral_rep(pres, p, "xi"))
 
 
 def perm_dihedral_total(f, p):
@@ -102,19 +101,13 @@ def irr_dihedral_total(f, p):
     return wada(pres, rep)
 
 
-def binary_dihedral_total_of(pres, p, assignment=None):
-    """The binary dihedral total of an arbitrary presentation: Wada over
-    Z[v]/(1+v+...+v^{p-1}), then v -> companion substitution and one
-    determinant."""
-    rep = binary_dihedral_rep(pres, p, assignment=assignment)
-    return gamma_substitute(wada(pres, rep)).det().canonical()
-
-
 def binary_dihedral_total(f, p):
-    """The binary dihedral total of a 2-bridge knot; also checks the
+    """The binary dihedral total of a 2-bridge knot, the gamma_total of
+    its rep over Z[v]/(1+v+...+v^{p-1}); also checks the
     product-over-(+-i) identity against the dihedral total."""
     require_prime_divisor(f, p)
-    total = binary_dihedral_total_of(presentation(f), p)
+    pres = presentation(f)
+    total = gamma_total(pres, binary_dihedral_rep(pres, p))
     # Phi_4 = z^2 + 1: the product over +-i is the metacyclic total at q = 2
     if metacyclic_total(f, 2, p) != total:
         raise CrossCheckMismatch(
@@ -160,19 +153,16 @@ class KMetaReport:
     conjecture_a_holds: bool
 
 
-def kmeta_total(pres, p, k, assignment=None):
+def kmeta_total(pres, p, k):
     """The K-metacyclic twisted polynomial plus the Conjecture-A report:
     divide by Delta/(1-t) exactly and recognize the quotient as a
     polynomial in t^m, m the order of k mod p.  Raises PreconditionError
-    unless p is an odd prime, k is neither 0 nor 1 mod p and
-    Delta(k) = 0 mod p, or when no meridian assignment works."""
-    kmeta_images(p, k)  # the p and k preconditions, before Delta
+    unless p is an odd prime and k is neither 0 nor 1 mod p, and
+    NoValidAssignment (a PreconditionError) when no meridian assignment
+    works; for a knot that is exactly when Delta(k) != 0 mod p.  Both are
+    decided by relator walks, before any determinant."""
+    rep = kmeta_rep(pres, p, k)
     delta = alexander(pres)
-    if delta.eval_int(k) % p != 0:
-        raise PreconditionError(
-            f"Delta({k}) != 0 mod {p}: no K-metacyclic representation exists"
-        )
-    rep = kmeta_rep(pres, p, k, assignment=assignment)
     total = wada(pres, rep)
     m = multiplicative_order(k, p)
     one_minus_t = LaurentPoly.from_int_coeffs([1, -1])

@@ -32,6 +32,7 @@ from .matrices import PolyRing, RingMatrix
 from .representations import (
     a_jk,
     b_jk,
+    binary_dihedral_rep,
     catalan_b,
     dihedral_rep,
     dihedral_xi,
@@ -47,8 +48,8 @@ from .representations import (
 )
 from .twisted import (
     binary_dihedral_total,
-    binary_dihedral_total_of,
     dihedral_total,
+    gamma_total,
     kmeta_total,
     modp_congruence,
     nqp_total,
@@ -365,32 +366,24 @@ def paper_suite():
         Item("Delta(8_5)", lambda: alexander(pres85) == EIGHT5_DELTA.canonical())
     )
 
-    def rho12(p, assignment, f_factor):
-        rep = dihedral_rep(pres85, p, "pi", assignment=assignment)
+    def rho12(p, f_factor):
+        rep = dihedral_rep(pres85, p, "pi")
         expected = (
             (EIGHT5_DELTA * f_factor * f_factor.negate_t()).exact_div(ONE_MINUS_T)
         ).canonical()
         return wada(pres85, rep) == expected
 
-    items.append(Item("8_5 under D_3", lambda: rho12(3, (0, 1, 0), EIGHT5_F1)))
-    items.append(Item("8_5 under D_7", lambda: rho12(7, (0, 0, 1), EIGHT5_F2)))
-    items.append(
-        Item(
-            "8_5 under N(2,3)",
-            lambda: binary_dihedral_total_of(pres85, 3, assignment=(0, 1, 0))
-            == EIGHT5_RHO3.canonical(),
-        )
-    )
-    items.append(
-        Item(
-            "8_5 under N(2,7)",
-            lambda: binary_dihedral_total_of(pres85, 7, assignment=(0, 0, 1))
-            == EIGHT5_RHO4.canonical(),
-        )
-    )
+    def rho34(p, expected):
+        total = gamma_total(pres85, binary_dihedral_rep(pres85, p))
+        return total == expected.canonical()
+
+    items.append(Item("8_5 under D_3", lambda: rho12(3, EIGHT5_F1)))
+    items.append(Item("8_5 under D_7", lambda: rho12(7, EIGHT5_F2)))
+    items.append(Item("8_5 under N(2,3)", lambda: rho34(3, EIGHT5_RHO3)))
+    items.append(Item("8_5 under N(2,7)", lambda: rho34(7, EIGHT5_RHO4)))
 
     def rho5():
-        report = kmeta_total(pres85, 7, -2, assignment=(0, 1, 0))
+        report = kmeta_total(pres85, 7, -2)
         return report.factor == EIGHT5_F5.canonical() and report.conjecture_a_holds
 
     items.append(Item("8_5 under G(6,7|-2)", rho5))

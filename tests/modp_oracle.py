@@ -9,7 +9,8 @@ through ``talex.twisted.modp_factor``.
 from talex.knots import alexander, presentation
 from talex.laurent import LaurentPoly, gf_exact_div, modp_unit_equal
 from talex.matrices import cyclic_product
-from talex.representations import dihedral_rep, trivial_rep
+from rep_oracle import eta_rep
+from talex.representations import trivial_rep
 from talex.twisted import nqp_total
 from talex.words import fox_derivative, rep_evaluate
 
@@ -26,7 +27,7 @@ def triangular_structure(f, p):
     diagonal entries Delta(-t) (upper-left) and Delta(t) (lower-right)
     mod p."""
     pres = presentation(f)
-    rep = dihedral_rep(pres, p, "eta")
+    rep = eta_rep(pres, p)
     M = rep_evaluate(fox_derivative(pres.relators[0], 0, rep))
     n = (p - 1) // 2
     delta_raw = alexander_raw(pres)

@@ -8,10 +8,22 @@ with ``from_int``, multiplied by each entry of M(g) with the ring's
 coordinate and never calls the ring, so agreement certifies that an
 integer times a residue needs no reduction and that the coordinate
 bookkeeping is right.
+
+``eta_rep`` builds the integer rep eta, whose images the library keeps
+only as the target of the U_n conjugacy; the tests walk words through it
+as one more integer representation.
 """
 
 from talex.laurent import LaurentPoly
 from talex.matrices import PolyRing, RingMatrix
+from talex.representations import _eta_images, search_assignment
+
+
+def eta_rep(pres, p):
+    """The 2n-dimensional integer rep eta (xi with omega -> C_n), found by
+    the meridian search that every dihedral rep takes."""
+    x, y = _eta_images(p)
+    return search_assignment(pres, x, x.inverse() * y, p)
 
 
 def evaluate(s):

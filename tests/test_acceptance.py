@@ -28,11 +28,17 @@ from talex.knots import (
 )
 from talex.laurent import LaurentPoly
 from talex.matrices import RingMatrix
-from talex.representations import dihedral_rep, is_prime, u_matrix, v_matrix
+from talex.representations import (
+    binary_dihedral_rep,
+    dihedral_rep,
+    is_prime,
+    u_matrix,
+    v_matrix,
+)
 from talex.twisted import (
     binary_dihedral_total,
-    binary_dihedral_total_of,
     dihedral_total,
+    gamma_total,
     kmeta_total,
     modp_congruence,
     nqp_total,
@@ -142,24 +148,15 @@ def test_criterion_4_kmeta_suite():
         # knot 8_5, all five representations
         pres = presentation_8_5()
         assert alexander(pres) == EIGHT5_DELTA.canonical()
-        for p, assignment, factor in [
-            (3, (0, 1, 0), EIGHT5_F1),
-            (7, (0, 0, 1), EIGHT5_F2),
-        ]:
-            rep = dihedral_rep(pres, p, "pi", assignment=assignment)
+        for p, factor in [(3, EIGHT5_F1), (7, EIGHT5_F2)]:
+            rep = dihedral_rep(pres, p, "pi")
             want = (
                 (EIGHT5_DELTA * factor * factor.negate_t()).exact_div(ONE_MINUS_T)
             ).canonical()
             assert wada(pres, rep) == want, p
-        assert (
-            binary_dihedral_total_of(pres, 3, assignment=(0, 1, 0))
-            == EIGHT5_RHO3.canonical()
-        )
-        assert (
-            binary_dihedral_total_of(pres, 7, assignment=(0, 0, 1))
-            == EIGHT5_RHO4.canonical()
-        )
-        r5 = kmeta_total(pres, 7, -2, assignment=(0, 1, 0))
+        for p, rho in [(3, EIGHT5_RHO3), (7, EIGHT5_RHO4)]:
+            assert gamma_total(pres, binary_dihedral_rep(pres, p)) == rho.canonical()
+        r5 = kmeta_total(pres, 7, -2)
         assert r5.factor == EIGHT5_F5.canonical()
         assert r5.conjecture_a_holds and r5.period == 6
         assert all(e % 6 == 0 for e in r5.factor.support())
@@ -249,7 +246,7 @@ def test_criterion_9_structural_invariants():
 
         # Wada omitted-generator independence on 8_5
         pres = presentation_8_5()
-        rep = dihedral_rep(pres, 3, "pi", assignment=(0, 1, 0))
+        rep = dihedral_rep(pres, 3, "pi")
         quotients = []
         for omit in range(3):
             cols = [m for m in range(3) if m != omit]

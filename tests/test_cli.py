@@ -83,6 +83,20 @@ def test_kmeta_preset(capsys):
     assert payload["period"] == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kmeta", "5/9", "--preset", "8_5", "-p", "7", "-k", "-2"],
+        ["kmeta", "-p", "7", "-k", "-2"],
+    ],
+)
+def test_kmeta_takes_exactly_one_knot(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: kmeta takes one knot: a fraction or --preset\n"
+
+
 def test_hp_test(capsys):
     code, out, _ = run(capsys, "hp-test", "19/85", "-p", "5", "--format", "json")
     assert code == 0
@@ -146,6 +160,7 @@ def test_a_plain_value_error_is_not_reported_as_a_precondition_error(
         ("10", ["verify", "paper"], 2),
         ("abc", ["dihedral", "19/85", "-p", "5"], 2),
         ("-5", ["dihedral", "19/85", "-p", "5"], 2),
+        ("abc", ["alexander", "1/3"], 2),
     ],
 )
 def test_the_cli_runs_under_a_small_or_malformed_degree_cap(cap, argv, code):
@@ -175,7 +190,7 @@ def test_factorization_above_the_cap_is_a_precondition_error(capsys, monkeypatch
     import talex.factorization
 
     s5 = swinnerton_dyer([2, 3, 5, 7, 11])
-    monkeypatch.setattr(talex.factorization, "_dihedral_total", lambda pres, rep: s5)
+    monkeypatch.setattr(talex.factorization, "gamma_total", lambda pres, rep: s5)
     code, _, err = run(capsys, "dihedral", "2/7", "-p", "7", "--factor")
     assert code == 2
     assert "recombination cap" in err

@@ -270,11 +270,9 @@ def test_conjecture_report_builds_each_input_once(monkeypatch, pair, p, splits):
 
         return wrapper
 
-    # every D(t) is built by _dihedral_total, dihedral_total's included
+    # every D(t) is built by gamma_total, dihedral_total's included
     for module in (talex.factorization, talex.twisted):
-        monkeypatch.setattr(
-            module, "_dihedral_total", counted("D", module._dihedral_total)
-        )
+        monkeypatch.setattr(module, "gamma_total", counted("D", module.gamma_total))
     monkeypatch.setattr(
         talex.factorization, "torus_gh", counted("torus", talex.factorization.torus_gh)
     )
@@ -307,13 +305,13 @@ def test_census_suite_builds_D_once_per_sample(monkeypatch):
     import talex.twisted
     import talex.verify
 
-    # every D(t) is built by _dihedral_total, dihedral_total's included
+    # every D(t) is built by gamma_total, dihedral_total's included
     builds = []
     for module in (talex.factorization, talex.twisted):
-        fn = module._dihedral_total
+        fn = module.gamma_total
         monkeypatch.setattr(
             module,
-            "_dihedral_total",
+            "gamma_total",
             # the coefficient modulus theta_n of the xi rep names p
             lambda pres, rep, fn=fn: builds.append((pres, rep.coeff_ring.modulus))
             or fn(pres, rep),
@@ -579,9 +577,7 @@ def test_forged_total_without_a_congruent_pairing(monkeypatch):
     G = P(3, 1, 0, 1)  # t^3 + t + 3, irreducible over Z
     assert not congruent(G, u, p)
     forged = (G * G.negate_t()).canonical()
-    monkeypatch.setattr(
-        talex.factorization, "_dihedral_total", lambda pres, rep: forged
-    )
+    monkeypatch.setattr(talex.factorization, "gamma_total", lambda pres, rep: forged)
     report = conjecture_report(f, p)
     assert report.D == forged and not report.split
     assert report.F is not None

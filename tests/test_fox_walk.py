@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 import fox_oracle
+from rep_oracle import eta_rep
 from talex.knots import (
     TwoBridgeFraction,
     alexander,
@@ -32,6 +33,7 @@ from talex.representations import (
     dihedral_xi,
     kmeta_rep,
     nqp_rep,
+    rep_from_pair,
     trivial_rep,
 )
 from talex.twisted import dihedral_total, modp_congruence
@@ -61,8 +63,9 @@ def rep_flavors(pres, f, p):
         # Delta(-1) = +-alpha vanishes mod p, so k = -1 always qualifies
         "K-metacyclic": kmeta_rep(pres, p, p - 1),
     }
-    for flavor in ("xi", "pi", "pi0", "eta"):
+    for flavor in ("xi", "pi", "pi0"):
         reps[f"dihedral {flavor}"] = dihedral_rep(pres, p, flavor)
+    reps["dihedral eta"] = eta_rep(pres, p)
     delta = alexander(pres)
     for k in range(2, p - 1):
         if delta.eval_int(k) % p == 0:
@@ -91,10 +94,10 @@ def test_walk_matches_oracle_on_8_5():
     pres = presentation_8_5()
     for rep in (
         trivial_rep(pres),
-        dihedral_rep(pres, 3, "pi", assignment=(0, 1, 0)),
-        binary_dihedral_rep(pres, 3, assignment=(0, 1, 0)),
-        kmeta_rep(pres, 7, -2, assignment=(0, 1, 0)),
-        nqp_rep(pres, 2, 7, assignment=(0, 0, 1)),
+        dihedral_rep(pres, 3, "pi"),
+        binary_dihedral_rep(pres, 3),
+        kmeta_rep(pres, 7, -2),
+        nqp_rep(pres, 2, 7),
     ):
         assert_walk_matches_oracle(pres, rep)
 
@@ -122,8 +125,8 @@ def test_fundamental_identity_on_the_walk(rng):
             assert_fundamental_identity(pres, rep, f"{f} {name}")
     pres = presentation_8_5()
     for rep in (
-        dihedral_rep(pres, 3, "pi", assignment=(0, 1, 0)),
-        kmeta_rep(pres, 7, -2, assignment=(0, 1, 0)),
+        dihedral_rep(pres, 3, "pi"),
+        kmeta_rep(pres, 7, -2),
     ):
         assert_fundamental_identity(pres, rep)
 
@@ -170,10 +173,11 @@ def test_reps_with_equal_images_share_one_table():
     assert dihedral_rep(presentation(TwoBridgeFraction(5, 1)), 5).table is rep.table
     assert dihedral_rep(presentation(TwoBridgeFraction(15, 4)), 3).table is not rep.table
     trefoil = presentation(TwoBridgeFraction(3, 1))
-    first = dihedral_rep(trefoil, 3, assignment=(0, 1))
-    second = dihedral_rep(trefoil, 3, assignment=(0, 2))
+    X, Y = dihedral_xi(3)
+    first = rep_from_pair(trefoil, X, X.inverse() * Y, (0, 1))
+    second = rep_from_pair(trefoil, X, X.inverse() * Y, (0, 2))
     assert first.table is not second.table
-    assert dihedral_rep(trefoil, 3, "eta").table is not first.table
+    assert eta_rep(trefoil, 3).table is not first.table
     assert binary_dihedral_rep(trefoil, 3).table is not first.table
 
 

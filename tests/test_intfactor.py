@@ -268,7 +268,7 @@ def test_a_report_that_hits_the_cap_is_an_error_not_a_finding(monkeypatch):
     import talex.factorization
 
     s5 = swinnerton_dyer([2, 3, 5, 7, 11])
-    monkeypatch.setattr(talex.factorization, "_dihedral_total", lambda pres, rep: s5)
+    monkeypatch.setattr(talex.factorization, "gamma_total", lambda pres, rep: s5)
     item = Item(
         "factorization finding for 2/7 p=7",
         lambda: talex.conjecture_report(TwoBridgeFraction(7, 2), 7).split,

@@ -1,5 +1,6 @@
 """2-bridge fractions, presentations, continued fractions, Alexander."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from talex.knots import (
     random_fraction,
 )
 from talex.laurent import PreconditionError
-from talex.words import FreeWord
+from talex.representations import trivial_rep
+from talex.words import FreeWord, fox_derivative
 
 
 def test_fraction_validation():
@@ -144,9 +146,9 @@ def test_alexander_examples():
 
 
 def test_alexander_multigen_matches_two_gen_path():
-    # the k-generator Fox-minor path, validated on 2-bridge inputs by
-    # feeding the same relator through a 3-generator presentation with a
-    # dummy relation z = x
+    # the 2x2 Fox minor, validated on 2-bridge inputs by feeding the same
+    # relator through a 3-generator presentation with a dummy relation
+    # z = x
     from talex.knots import Presentation
 
     base = presentation(TwoBridgeFraction(27, 5))
@@ -154,6 +156,21 @@ def test_alexander_multigen_matches_two_gen_path():
     dummy = FreeWord.from_text("zX")
     pres3 = Presentation(gens=("x", "y", "z"), relators=(r1, dummy))
     assert alexander(pres3) == alexander(base)
+
+
+def test_alexander_is_the_psi_image_of_the_x_derivative():
+    # the one Fox-minor path reads dr/dy on a 2-bridge presentation; the
+    # fundamental formula gives psi(dr/dy) = -psi(dr/dx), so the column
+    # of x gives the same canonical polynomial
+    rng = random.Random(1000)
+    for _ in range(40):
+        pres = presentation(random_fraction(rng, max_alpha=1001))
+        rep = trivial_rep(pres)
+        by_x, by_y = (
+            fox_derivative(pres.relators[0], j, rep).augmentation() for j in (0, 1)
+        )
+        assert by_y == -by_x
+        assert alexander(pres) == by_x.canonical()
 
 
 def test_alexander_invariants_random(rng):

@@ -27,8 +27,8 @@ from talex.matrices import (
 )
 from talex.representations import (
     binary_dihedral,
+    _eta_images,
     binary_dihedral_rep,
-    dihedral_eta,
     dihedral_pi0,
     dihedral_xi,
     is_prime,
@@ -487,7 +487,7 @@ def test_inverse_of_random_unimodular_integer_matrices(n):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_inverse_of_the_representation_images(p):
-    for images in (dihedral_xi(p), dihedral_pi0(p), binary_dihedral(p), dihedral_eta(p)):
+    for images in (dihedral_xi(p), dihedral_pi0(p), binary_dihedral(p), _eta_images(p)):
         for M in images:
             assert M * M.inverse() == RingMatrix.identity(M.ring, M.rows)
 

@@ -283,9 +283,9 @@ def test_every_constructed_rep_checks_relators():
     # every constructed MatrixRep maps every relator to the identity
     pres = presentation_8_5()
     for rep in (
-        dihedral_rep(pres, 3, "pi", assignment=(0, 1, 0)),
-        binary_dihedral_rep(pres, 3, assignment=(0, 1, 0)),
-        kmeta_rep(pres, 7, -2, assignment=(0, 1, 0)),
+        dihedral_rep(pres, 3, "pi"),
+        binary_dihedral_rep(pres, 3),
+        kmeta_rep(pres, 7, -2),
     ):
         I = RingMatrix.identity(rep.coeff_ring, rep.dim)
         for r in pres.relators:

@@ -28,7 +28,6 @@ from talex.rings import NonExactDivision
 from talex.twisted import (
     CrossCheckMismatch,
     binary_dihedral_total,
-    binary_dihedral_total_of,
     dihedral_total,
     irr_dihedral_total,
     kmeta_total,
@@ -291,9 +290,9 @@ def test_8_5_nqp_direct_56x56_matches_tensor_factorization():
     from talex.matrices import cyclic_product
 
     pres = presentation_8_5()
-    rep = nqp_rep(pres, 2, 7, assignment=(0, 0, 1))
+    rep = nqp_rep(pres, 2, 7)
     direct = wada(pres, rep)
-    perm = wada(pres, dihedral_rep(pres, 7, "pi", assignment=(0, 0, 1)))
+    perm = wada(pres, dihedral_rep(pres, 7, "pi"))
     z4 = LaurentPoly.from_int_coeffs([-1, 0, 0, 0, 1])
     assert cyclic_product(perm, z4).canonical() == direct
     assert direct.degree == 140
