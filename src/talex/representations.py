@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from math import comb, gcd
 
 from .laurent import LaurentPoly, PreconditionError, cyclotomic_poly
@@ -553,15 +553,14 @@ def search_assignment(pres, s_img, a_img, a_order):
     """The rep generator_i -> s_img * a_img^e_i for the first exponents
     under which every relator maps to the identity.
 
-    Tries the default (0,1,...,1) meridian pattern first, then the
-    lexicographic tuples with the first generator pinned to s_img, one
-    at a time.  All-equal tuples are skipped: they give abelian images,
+    Tries the lexicographic tuples with the first generator pinned to
+    s_img, one at a time; for two generators the first one tried is
+    (0, 1).  All-equal tuples are skipped: they give abelian images,
     never a genuine metacyclic representation.
     """
     k = len(pres.gens)
-    default = (0,) + (1,) * (k - 1)
-    lex = ((0,) + tail for tail in product(range(a_order), repeat=k - 1))
-    for cand in chain([default], (c for c in lex if c != default)):
+    for tail in product(range(a_order), repeat=k - 1):
+        cand = (0,) + tail
         if len(set(cand)) == 1:
             continue
         try:

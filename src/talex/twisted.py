@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .knots import alexander, presentation
 from .laurent import (
     LaurentPoly,
+    PreconditionError,
     cyclotomic_poly,
     gf_exact_div,
     modp_unit_equal,
@@ -27,6 +28,7 @@ from .matrices import RingMatrix, cyclic_product, gamma_substitute
 from .representations import (
     binary_dihedral_rep,
     dihedral_rep,
+    kmeta_images,
     kmeta_rep,
     multiplicative_order,
     nqp_rep,
@@ -157,12 +159,15 @@ def kmeta_total(pres, p, k):
     """The K-metacyclic twisted polynomial plus the Conjecture-A report:
     divide by Delta/(1-t) exactly and recognize the quotient as a
     polynomial in t^m, m the order of k mod p.  Raises PreconditionError
-    unless p is an odd prime and k is neither 0 nor 1 mod p, and
-    NoValidAssignment (a PreconditionError) when no meridian assignment
-    works; for a knot that is exactly when Delta(k) != 0 mod p.  Both are
-    decided by relator walks, before any determinant."""
-    rep = kmeta_rep(pres, p, k)
+    unless p is an odd prime, k is neither 0 nor 1 mod p and
+    Delta(k) = 0 mod p, or when no meridian assignment works."""
+    kmeta_images(p, k)  # the p and k preconditions, before Delta
     delta = alexander(pres)
+    if delta.eval_int(k) % p != 0:
+        raise PreconditionError(
+            f"Delta({k}) != 0 mod {p}: no K-metacyclic representation exists"
+        )
+    rep = kmeta_rep(pres, p, k)
     total = wada(pres, rep)
     m = multiplicative_order(k, p)
     one_minus_t = LaurentPoly.from_int_coeffs([1, -1])

@@ -12,6 +12,7 @@ import talex
 
 from conftest import P, Pstep, prod
 from modp_oracle import nqp_variant_holds, triangular_structure
+from talex import representations, twisted
 from talex.factorization import conjecture_report, extract_GH, f_polynomial
 from talex.knots import (
     TwoBridgeFraction,
@@ -123,12 +124,44 @@ INVALID_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
 def test_invalid_input_is_refused_before_any_determinant(monkeypatch, case):
-    calls = []
-    det = RingMatrix.det
-    monkeypatch.setattr(RingMatrix, "det", lambda self: calls.append(1) or det(self))
+    # the Fox minor of the Alexander polynomial is the one determinant a
+    # refusal may read (the Delta(k) test of kmeta_total); no Wada
+    # quotient and no total is taken
+    calls, in_alexander = [], []
+    det, alex = RingMatrix.det, twisted.alexander
+
+    def counted_det(self):
+        if not in_alexander:
+            calls.append(1)
+        return det(self)
+
+    def uncounted_alexander(pres):
+        in_alexander.append(1)
+        try:
+            return alex(pres)
+        finally:
+            in_alexander.pop()
+
+    monkeypatch.setattr(RingMatrix, "det", counted_det)
+    monkeypatch.setattr(twisted, "alexander", uncounted_alexander)
     with pytest.raises(PreconditionError):
         INVALID_INPUTS[case]()
     assert calls == []
+
+
+def test_a_failing_delta_k_is_refused_before_the_meridian_search(monkeypatch):
+    # Delta(8_5)(2) = 3: at p = 101 the refusal reads Delta alone, so the
+    # only image table built is the trivial rep's, none from the kmeta
+    # images (a search would walk about p^2 of them)
+    table = representations._image_table
+
+    def trivial_table_only(images):
+        assert images[0].rows == 1, "an image table of the kmeta images"
+        return table(images)
+
+    monkeypatch.setattr(representations, "_image_table", trivial_table_only)
+    with pytest.raises(PreconditionError, match=r"^Delta\(2\) != 0 mod 101"):
+        kmeta_total(presentation_8_5(), 101, 2)
 
 
 def test_perm_dihedral_cross_identity():
