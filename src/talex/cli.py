@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage/parse error, 2 precondition violation
 (a PreconditionError from the library, e.g. p does not divide alpha, or
-a resource cap), 3 internal certificate failure.  The CLI checks no
-input itself: the library checks each one where it is first read.
+a resource cap), 3 internal certificate failure (an AssertionError from
+any certificate, those checked once at construction included, or an
+inexact division).  The CLI checks no input itself: the library checks
+each one where it is first read.
 ``--factor`` on a knot without the constructive factorization exits 0
 with "split": false -- absence of a factorization is a finding.
 """
@@ -14,11 +16,7 @@ import argparse
 import json
 import sys
 
-from .factorization import (
-    CertificateFailure,
-    NotSplit,
-    conjecture_report,
-)
+from .factorization import NotSplit, conjecture_report
 from .intfactor import FactorizationTooHard
 from .knots import (
     PRESETS,
@@ -35,10 +33,8 @@ from .laurent import (
 )
 from .rings import NonExactDivision
 from .twisted import (
-    CrossCheckMismatch,
     binary_dihedral_total,
     dihedral_total,
-    irr_dihedral_total,
     kmeta_total,
     metacyclic_total,
     nqp_total,
@@ -76,8 +72,6 @@ def cmd_dihedral(args):
     f = TwoBridgeFraction.parse(args.fraction)
     if args.rep == "perm":
         return {"D": perm_dihedral_total(f, args.p)}
-    if args.rep == "irr":
-        return {"D": irr_dihedral_total(f, args.p)}
     if not args.factor:
         return {"D": dihedral_total(f, args.p)}
     report = conjecture_report(f, args.p)
@@ -179,10 +173,10 @@ def build_parser():
     p_di.add_argument("-p", type=int, required=True)
     p_di.add_argument(
         "--rep",
-        choices=("xi", "irr", "perm"),
+        choices=("xi", "perm"),
         default="xi",
-        help="xi: total over Z[omega] (gamma route); irr: the 2n-dim "
-        "integer representation directly; perm: the p-dim permutation one",
+        help="xi: the 2n-dim irreducible total, over Z[omega] (gamma "
+        "route); perm: the p-dim permutation one",
     )
     p_di.add_argument(
         "--factor", action="store_true", help="also run the f(t)f(-t) factorization"
@@ -243,7 +237,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (NonExactDivision, CertificateFailure, CrossCheckMismatch) as e:
+    except (NonExactDivision, AssertionError) as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return CERTIFICATE_ERROR
     except (PreconditionError, NotSplit, DegreeLimitExceeded, FactorizationTooHard) as e:

@@ -555,12 +555,6 @@ class LaurentPoly:
             raise RingMismatch("JSON encoding is defined for integer coefficients")
         return {"min_deg": self.min_deg, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls.from_int_coeffs(
-            [int(s) for s in obj["coeffs"]], min_deg=int(obj["min_deg"])
-        )
-
     # -- mod-p views ---------------------------------------------------
 
     def reduce_mod(self, p):

@@ -2,13 +2,14 @@
 
 Builds, exactly over the integers or over Z[omega] = Z[z]/(theta_n(z)):
 
-* the permutation representation ``pi`` and the degree-2n irreducible
-  integer representation ``pi0`` of the dihedral group D_p (p = 2n+1),
+* the permutation representation ``pi`` of the dihedral group D_p
+  (p = 2n+1),
 * the 2x2 representation ``xi`` over Z[omega], where omega is a root of
   the minimal polynomial theta_n,
-* the conjugating matrix U_n from pi0 to the integer form ``eta`` of xi
-  (omega -> the companion matrix C_n), whose images serve only as the
-  target of that conjugacy,
+* the conjugating matrix U_n from the degree-2n irreducible integer
+  representation ``pi0`` to the integer form ``eta`` of xi (omega -> the
+  companion matrix C_n), whose images serve only as the two sides of
+  that conjugacy,
 * the square root V_n of 4E_n + C_n built from the alternating Catalan
   series (the engine behind the f(t)f(-t) factorization),
 * binary dihedral (trace-free 2x2 over the p-th cyclotomic ring),
@@ -21,13 +22,13 @@ verify their defining identities on the spot.
 
 A ``MatrixRep`` reads the multiplication table of its image group,
 built lazily as words are walked and shared by every rep with the same
-generator images, so the relator checks of later knots at the same p,
-the torus knot K(1/p) and retried assignments reuse the products of the
-first.  Every image here is finite (at most 2p elements for D_p, 4p for
-the binary dihedral group, 2pq for N(q,p)), so walking a relator of
-length L costs L table lookups plus at most |G| * 2k matrix products
-per distinct assignment, whatever L is.  ``talex.words`` walks Fox
-derivatives through this table.
+generator images, so the relator checks of later knots at the same p
+and of the torus knot K(1/p) reuse the products of the first; an
+assignment that fails its relators keeps no table.  Every image here is
+finite (at most 2p elements for D_p, 4p for the binary dihedral group,
+2pq for N(q,p)), so walking a relator of length L costs L table lookups
+plus at most |G| * 2k matrix products per assignment tried, whatever L
+is.  ``talex.words`` walks Fox derivatives through this table.
 """
 
 from __future__ import annotations
@@ -111,11 +112,6 @@ def omega_companion(n):
 def dihedral_pi(p):
     """The faithful p-dimensional permutation images (x, y) of D_p."""
     require_odd_prime(p)
-    return _pi_images(p)
-
-
-@lru_cache(maxsize=None)
-def _pi_images(p):
     x = [[0] * p for _ in range(p)]
     x[0][0] = 1
     for i in range(1, p):
@@ -129,14 +125,9 @@ def _pi_images(p):
 
 
 @lru_cache(maxsize=None)
-def dihedral_pi0(p):
-    """The degree-2n irreducible integer images (x, y) of D_p."""
-    require_odd_prime(p)
-    return _pi0_images(p)
-
-
-@lru_cache(maxsize=None)
 def _pi0_images(p):
+    """The degree-2n irreducible integer images (x, y) of D_p, the source
+    side of the U_n conjugacy (p = 2n+1 need not be prime there)."""
     m = p - 1
     x = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -440,10 +431,10 @@ class _ImageTable:
     Element ids map to image matrices (id 0 is the identity) and
     ``successors[g]`` maps a letter code to the id of element g times
     that letter's image; the table grows lazily, one matrix product per
-    miss.  It is shared by every rep with the same images in generator
-    order (``_image_table``), so threads may grow it at once: an id is
-    published in ``successors`` only after its matrix and its own
-    successor map are stored, under a lock.
+    miss.  Once registered it is shared by every rep with the same images
+    in generator order (``_image_table``), so threads may grow it at
+    once: an id is published in ``successors`` only after its matrix and
+    its own successor map are stored, under a lock.
     """
 
     def __init__(self, images):
@@ -475,12 +466,17 @@ class _ImageTable:
         return h
 
 
-@lru_cache(maxsize=None)
+# the table of every tuple of generator images (in generator order) that
+# satisfies the relators of some presentation; a meridian search tries up
+# to p^(k-1) tuples, and the tables of those that fail are not kept
+_TABLES = {}
+
+
 def _image_table(images):
-    """The shared table of a tuple of generator images (in generator
-    order); a rep family has finitely many assignments, so this stays
-    small."""
-    return _ImageTable(images)
+    """The registered table of a tuple of generator images, or a fresh
+    one that ``MatrixRep`` registers once the relators hold."""
+    table = _TABLES.get(images)
+    return _ImageTable(images) if table is None else table
 
 
 class MatrixRep:
@@ -494,9 +490,10 @@ class MatrixRep:
     id of the product.  A matrix product is taken only on a table miss,
     so once the at most |G| * 2k edges are known (k generators) a word
     of any length is walked by dictionary lookups alone, and a second
-    rep with the same images (another knot at the same p, a retried
-    assignment) takes no product at all.  The images of every
-    representation here generate a finite group; an infinite image
+    rep with the same images (another knot at the same p) takes no
+    product at all.  A table is shared only once every relator holds on
+    it, so a failed assignment leaves nothing behind.  The images of
+    every representation here generate a finite group; an infinite image
     keeps the walk correct, only not faster.  A relator holds when its
     walk ends at id 0.
     """
@@ -513,12 +510,14 @@ class MatrixRep:
                 raise ValueError("all images must be square of equal size")
         self.pres = pres
         self.gens = tuple(gens)
-        self.table = _image_table(tuple(images[g] for g in gens))
+        key = tuple(images[g] for g in gens)
+        self.table = _image_table(key)
         for rel in pres.relators:
             if self.walk(rel.codes) != 0:
                 raise NoValidAssignment(
                     f"relator {rel.to_text()} does not map to the identity"
                 )
+        self.table = _TABLES.setdefault(key, self.table)
 
     def image_of_code(self, code):
         return self.table.image_of_code(code)
@@ -583,15 +582,14 @@ def _rotation(x, y):
 def dihedral_rep(pres, p, flavor="xi"):
     """A dihedral representation of the presentation.
 
-    flavor 'xi': 2x2 over Z[omega]; 'pi0': integer 2n; 'pi': integer p.
-    x maps to the printed x-image and y to the printed y-image when
-    that satisfies the relators (it always does for 2-bridge knots with
-    p | alpha); otherwise the conjugate-assignment search kicks in.
+    flavor 'xi': 2x2 over Z[omega], the paper's irreducible one; 'pi':
+    the p-dimensional permutation one.  x maps to the printed x-image and
+    y to the printed y-image when that satisfies the relators (it always
+    does for 2-bridge knots with p | alpha); otherwise the
+    conjugate-assignment search kicks in.
     """
     if flavor == "xi":
         X, Y = dihedral_xi(p)
-    elif flavor == "pi0":
-        X, Y = dihedral_pi0(p)
     elif flavor == "pi":
         X, Y = dihedral_pi(p)
     else:

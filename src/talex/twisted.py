@@ -93,16 +93,6 @@ def perm_dihedral_total(f, p):
     return wada(pres, rep)
 
 
-def irr_dihedral_total(f, p):
-    """The twisted polynomial of the 2n-dimensional irreducible integer
-    representation, computed directly; equals dihedral_total by the
-    pi0 ~ eta conjugacy (tested, not assumed)."""
-    require_prime_divisor(f, p)
-    pres = presentation(f)
-    rep = dihedral_rep(pres, p, "pi0")
-    return wada(pres, rep)
-
-
 def binary_dihedral_total(f, p):
     """The binary dihedral total of a 2-bridge knot, the gamma_total of
     its rep over Z[v]/(1+v+...+v^{p-1}); also checks the

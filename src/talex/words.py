@@ -107,15 +107,6 @@ class FreeWord:
     def inverse(self):
         return FreeWord._trusted(tuple(-c for c in reversed(self.codes)))
 
-    def __pow__(self, n):
-        if n == 0:
-            return FreeWord()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
-
     def exponent_sum(self):
         """Total exponent over all letters (the abelianization degree)."""
         return sum(1 if c > 0 else -1 for c in self.codes)

@@ -11,6 +11,14 @@ def rng():
     return random.Random(0xA1EC)
 
 
+def from_json(obj):
+    """The LaurentPoly of a ``to_json`` payload: the wire format's reader,
+    which only the tests need."""
+    return LaurentPoly.from_int_coeffs(
+        [int(s) for s in obj["coeffs"]], min_deg=int(obj["min_deg"])
+    )
+
+
 def random_poly(rng, max_deg=8, max_coef=9, laurent=True):
     lo = rng.randrange(-3, 1) if laurent else 0
     n = rng.randrange(1, max_deg + 2)

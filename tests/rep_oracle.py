@@ -9,20 +9,31 @@ coordinate and never calls the ring, so agreement certifies that an
 integer times a residue needs no reduction and that the coordinate
 bookkeeping is right.
 
-``eta_rep`` builds the integer rep eta, whose images the library keeps
-only as the target of the U_n conjugacy; the tests walk words through it
-as one more integer representation.
+``eta_rep`` and ``pi0_rep`` build the integer reps eta and pi0, whose
+images the library keeps only as the two sides of the U_n conjugacy;
+the tests walk words through them as two more integer representations.
+The Wada invariant of pi0 is the dihedral total D(t) computed without
+Z[omega] or the gamma substitution, so it is the oracle of that route.
+At p = 3, where pi0 is 2x2 over the integers, it is also the faster of
+the two.
 """
 
 from talex.laurent import LaurentPoly
 from talex.matrices import PolyRing, RingMatrix
-from talex.representations import _eta_images, search_assignment
+from talex.representations import _eta_images, _pi0_images, search_assignment
 
 
 def eta_rep(pres, p):
     """The 2n-dimensional integer rep eta (xi with omega -> C_n), found by
     the meridian search that every dihedral rep takes."""
     x, y = _eta_images(p)
+    return search_assignment(pres, x, x.inverse() * y, p)
+
+
+def pi0_rep(pres, p):
+    """The 2n-dimensional irreducible integer rep pi0, conjugate to eta by
+    U_n, found by the same meridian search."""
+    x, y = _pi0_images(p)
     return search_assignment(pres, x, x.inverse() * y, p)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import talex
-from conftest import swinnerton_dyer
+from conftest import from_json, swinnerton_dyer
 from talex.cli import main
 from talex.laurent import LaurentPoly
 
@@ -30,7 +30,7 @@ def test_dihedral_json_roundtrip(capsys):
     code, out, _ = run(capsys, "dihedral", "5/27", "-p", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    poly = LaurentPoly.from_json(payload["D"])
+    poly = from_json(payload["D"])
     # re-encoding reproduces the same object
     assert poly.to_json() == payload["D"]
     assert poly == poly.canonical()
@@ -46,10 +46,10 @@ def test_dihedral_factor_json_matches_golden(capsys):
     assert payload["hp"] == "yes"
     assert payload["modp"] is True
     assert payload["remark53"] is True
-    F = LaurentPoly.from_json(payload["F"])
-    D = LaurentPoly.from_json(payload["D"])
-    q = LaurentPoly.from_json(payload["q"])
-    f = LaurentPoly.from_json(payload["f"])
+    F = from_json(payload["F"])
+    D = from_json(payload["D"])
+    q = from_json(payload["q"])
+    f = from_json(payload["f"])
     assert (F * F.negate_t()).canonical() == D
     # the golden expanded total and its printed factors, up to each
     # factor's t -> -t swap
@@ -136,6 +136,22 @@ def test_exit_codes(capsys):
     assert run(capsys, "kmeta", "1/5", "-p", "7", "-k", "-2")[0] == 2
     assert run(capsys, "alexander", "1/3")[0] == 0
     assert run(capsys, "verify", "no-such-suite")[0] == 1
+
+
+def test_a_forged_construction_certificate_exits_3(capsys, monkeypatch):
+    # V_n is certified once, when it is built: a forged Catalan table
+    # fails that certificate inside --factor, which exits 3 with no
+    # traceback, as the F(t)F(-t) certificate and the cross-checks do
+    import talex.factorization
+    from talex import representations
+
+    d_kl = representations.d_kl
+    monkeypatch.setattr(representations, "d_kl", lambda n, k, ell: d_kl(n, k, ell) + 1)
+    monkeypatch.setattr(talex.factorization, "v_matrix", representations.v_matrix.__wrapped__)
+    code, out, err = run(capsys, "dihedral", "19/85", "-p", "5", "--factor")
+    assert code == 3
+    assert err.startswith("certificate failure: V_2^2 != 4E + C")
+    assert out == ""
 
 
 def test_a_plain_value_error_is_not_reported_as_a_precondition_error(

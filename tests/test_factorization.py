@@ -14,6 +14,7 @@ from talex.factorization import (
     SplitForm,
     _as_matrix,
     _hensel_pairing,
+    _certified_factorization,
     _lex_min_rep,
     _split_determinant,
     _torus_factor,
@@ -583,6 +584,31 @@ def test_forged_total_without_a_congruent_pairing(monkeypatch):
     assert report.F is not None
     assert (report.F * report.F.negate_t()).canonical() == forged
     assert report.modp_f is False
+
+
+def test_a_forged_total_fails_the_factorization_certificate():
+    # F is built from the split form alone, so a doubled D(t) reaches the
+    # certificate F(t)F(-t) = D only
+    f = F(85, 19)
+    D = dihedral_total(f, 5).scale(2)
+    with pytest.raises(CertificateFailure, match=r"F\(t\)F\(-t\) != D for 19/85 at p=5"):
+        _certified_factorization(f, 5, extract_GH(f, 5), D)
+
+
+def test_torus_gh_refuses_a_forged_wada_quotient(monkeypatch):
+    # the split form is read from the (XY)^k table, the check from the
+    # Wada quotient of K(1/p): a doubled quotient reaches the check only
+    import talex.factorization
+
+    wada = talex.factorization.wada
+
+    def doubled(pres, rep):
+        got = wada(pres, rep)
+        return got.scale(got.ring.from_int(2))
+
+    monkeypatch.setattr(talex.factorization, "wada", doubled)
+    with pytest.raises(AssertionError, match=r"torus split form does not reproduce"):
+        torus_gh(5)
 
 
 def test_torus_factor_is_built_once_per_p(monkeypatch):

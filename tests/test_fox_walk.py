@@ -15,7 +15,8 @@ import tracemalloc
 import pytest
 
 import fox_oracle
-from rep_oracle import eta_rep
+from rep_oracle import eta_rep, pi0_rep
+from talex import representations
 from talex.knots import (
     TwoBridgeFraction,
     alexander,
@@ -26,7 +27,6 @@ from talex.knots import (
 from talex.matrices import RingMatrix
 from talex.representations import (
     NoValidAssignment,
-    _image_table,
     _ImageTable,
     binary_dihedral_rep,
     dihedral_rep,
@@ -63,8 +63,9 @@ def rep_flavors(pres, f, p):
         # Delta(-1) = +-alpha vanishes mod p, so k = -1 always qualifies
         "K-metacyclic": kmeta_rep(pres, p, p - 1),
     }
-    for flavor in ("xi", "pi", "pi0"):
+    for flavor in ("xi", "pi"):
         reps[f"dihedral {flavor}"] = dihedral_rep(pres, p, flavor)
+    reps["dihedral pi0"] = pi0_rep(pres, p)
     reps["dihedral eta"] = eta_rep(pres, p)
     delta = alexander(pres)
     for k in range(2, p - 1):
@@ -140,7 +141,7 @@ def assert_table_consistent(table):
     assert {m.entries: g for g, m in enumerate(table.elements)} == table.ids
 
 
-def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng):
+def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng, monkeypatch):
     pres = presentation(random_fraction(rng, p=5, max_alpha=200))
     bounds = (
         (dihedral_rep(pres, 5, "xi"), 10),
@@ -156,15 +157,29 @@ def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng):
             assert rep.element(rep.walk(word.codes)) == product
         assert len(rep.table.elements) <= order
         assert_table_consistent(rep.table)
-    # 5 does not divide 7: every candidate of the search fails its relator
-    # and leaves its shared table grown but consistent
+    # 5 does not divide 7: each of the 4 candidates of the search fails
+    # its relator on a table of its own, grown consistent, and none of
+    # them is registered for later reps
+    tried = []
+    fresh = representations._image_table
+    monkeypatch.setattr(representations, "_TABLES", {})
+    monkeypatch.setattr(
+        representations, "_image_table", lambda images: tried.append(fresh(images)) or tried[-1]
+    )
     with pytest.raises(NoValidAssignment):
         dihedral_rep(presentation(TwoBridgeFraction(7, 3)), 5, "xi")
-    X, Y = dihedral_xi(5)
-    for e in range(1, 5):
-        table = _image_table((X, X * (X * Y) ** e))
+    assert len(tried) == 4 and representations._TABLES == {}
+    for table in tried:
         assert len(table.elements) > 1
         assert_table_consistent(table)
+
+
+def test_a_meridian_search_registers_only_the_table_it_returns(monkeypatch):
+    # Delta(8_5)(11) = 0 mod 47; the search tries 67 exponent tuples and
+    # only the last holds: the tables of the other 66 are not kept
+    monkeypatch.setattr(representations, "_TABLES", {})
+    rep = kmeta_rep(presentation_8_5(), 47, 11)
+    assert list(representations._TABLES.values()) == [rep.table]
 
 
 def test_reps_with_equal_images_share_one_table():

@@ -135,6 +135,16 @@ def test_hp_expansion_shape_and_roundtrip(rng):
     assert found >= 10
 
 
+def test_hp_expansion_refuses_an_expansion_that_misevaluates(monkeypatch):
+    # the search keeps its tails exact, so only a cf_eval that disagrees
+    # with it can fail the re-evaluation
+    import talex.knots
+
+    monkeypatch.setattr(talex.knots, "cf_eval", lambda cf: Fraction(0))
+    with pytest.raises(AssertionError, match=r"expansion .* of 19/85 misevaluates"):
+        hp_expansion(TwoBridgeFraction(85, 19), 5)
+
+
 def test_alexander_examples():
     assert alexander(presentation(TwoBridgeFraction(3, 1))) == P(1, -1, 1)
     want = prod([P(1, -1, 1), P(2, -2, 1, -2, 2)]).canonical()

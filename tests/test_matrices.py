@@ -28,8 +28,8 @@ from talex.matrices import (
 from talex.representations import (
     binary_dihedral,
     _eta_images,
+    _pi0_images,
     binary_dihedral_rep,
-    dihedral_pi0,
     dihedral_xi,
     is_prime,
     nqp_rep,
@@ -112,7 +112,7 @@ def test_det_2x2_polys():
 
 
 def test_det_pi0_x_is_minus_one():
-    x0, _ = dihedral_pi0(3)
+    x0, _ = _pi0_images(3)
     assert x0.det() == -1
 
 
@@ -487,7 +487,7 @@ def test_inverse_of_random_unimodular_integer_matrices(n):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_inverse_of_the_representation_images(p):
-    for images in (dihedral_xi(p), dihedral_pi0(p), binary_dihedral(p), _eta_images(p)):
+    for images in (dihedral_xi(p), _pi0_images(p), binary_dihedral(p), _eta_images(p)):
         for M in images:
             assert M * M.inverse() == RingMatrix.identity(M.ring, M.rows)
 

@@ -25,8 +25,8 @@ def reps():
         out.append((f"xi p={p}", dihedral_rep(presentation(TwoBridgeFraction(p, 1)), p)))
     for p in (3, 5):
         pres = presentation(TwoBridgeFraction(3 * p, 2))
-        for flavor in ("pi", "pi0"):
-            out.append((f"{flavor} p={p}", dihedral_rep(pres, p, flavor)))
+        out.append((f"pi p={p}", dihedral_rep(pres, p, "pi")))
+        out.append((f"pi0 p={p}", rep_oracle.pi0_rep(pres, p)))
         out.append((f"eta p={p}", rep_oracle.eta_rep(pres, p)))
         out.append((f"N(2,{p})", nqp_rep(pres, 2, p)))
         out.append((f"binary dihedral p={p}", binary_dihedral_rep(pres, p)))

@@ -10,11 +10,11 @@ from talex.matrices import RingMatrix, companion_matrix
 from talex.representations import (
     MatrixRep,
     NoValidAssignment,
+    _pi0_images,
     binary_dihedral,
     binary_dihedral_rep,
     catalan_b,
     dihedral_pi,
-    dihedral_pi0,
     dihedral_rep,
     dihedral_xi,
     f_n_coeff,
@@ -65,14 +65,14 @@ def test_xi_images_p3():
 
 
 def test_pi0_printed_p3():
-    x0, y0 = dihedral_pi0(3)
+    x0, y0 = _pi0_images(3)
     assert [list(r) for r in x0.entries] == [[0, 1], [1, 0]]
     assert [list(r) for r in y0.entries] == [[-1, 0], [-1, 1]]
 
 
 def test_dihedral_defining_relations():
     for p in (3, 5, 7, 11):
-        for images in (dihedral_pi(p), dihedral_pi0(p), dihedral_xi(p)):
+        for images in (dihedral_pi(p), _pi0_images(p), dihedral_xi(p)):
             X, Y = images
             ring = X.ring
             n = X.rows
@@ -146,6 +146,48 @@ def test_v_matrix_certifies_lemma():
     V = v_matrix(n)
     C = companion_matrix(theta(n))
     assert V * V == RingMatrix.identity(ZZ, n).scale(4) + C
+
+
+def test_xy_power_table_refuses_forged_images(monkeypatch):
+    # Y with omega -> omega + 1 below the diagonal: tr(XY) = 3 + omega
+    # breaks the three-term recurrence.  The entry identities, the second
+    # check, follow from the first: at k = 2 and 3 the recurrences pin XY
+    # to [[1 + omega, 1], [omega, 1]] unless x^2 - (2 + omega)x + 1 has a
+    # root in Z[omega], and its roots are the nonreal p-th roots of unity
+    # (2 + omega is zeta + 1/zeta).  So no XY fails the second alone.
+    import talex.representations
+
+    X, Y = dihedral_xi(5)
+    ring = X.ring
+    forged = RingMatrix(ring, [[Y[0, 0], Y[0, 1]], [ring.add(Y[1, 0], ring.one), Y[1, 1]]])
+    monkeypatch.setattr(talex.representations, "dihedral_xi", lambda p: (X, forged))
+    with pytest.raises(AssertionError, match=r"breaks the three-term recurrence at p=5"):
+        xy_power_table.__wrapped__(5)
+
+
+def test_u_matrix_refuses_a_forged_binomial_table(monkeypatch):
+    import talex.representations
+
+    a_jk, b_jk = talex.representations.a_jk, talex.representations.b_jk
+    # doubling b_{j,k} alone breaks the conjugacy
+    monkeypatch.setattr(talex.representations, "b_jk", lambda j, k: 2 * b_jk(j, k))
+    with pytest.raises(AssertionError, match=r"U_3 does not conjugate pi0 to eta"):
+        u_matrix.__wrapped__(3)
+    # doubling both keeps it (2U conjugates as U does) but not unimodularity
+    monkeypatch.setattr(talex.representations, "a_jk", lambda j, k: 2 * a_jk(j, k))
+    with pytest.raises(AssertionError, match=r"U_3 is not unimodular"):
+        u_matrix.__wrapped__(3)
+
+
+def test_v_matrix_refuses_a_forged_catalan_table(monkeypatch):
+    # V C = C V, the second check, follows from the first: C = V^2 - 4E is
+    # a polynomial in V, so no V fails the second alone
+    import talex.representations
+
+    d_kl = talex.representations.d_kl
+    monkeypatch.setattr(talex.representations, "d_kl", lambda n, k, ell: d_kl(n, k, ell) + 1)
+    with pytest.raises(AssertionError, match=r"V_3\^2 != 4E \+ C"):
+        v_matrix.__wrapped__(3)
 
 
 def test_catalan_series():
@@ -274,7 +316,7 @@ def test_multiplicative_order():
 
 def test_matrixrep_rejects_bad_relator():
     pres = presentation(TwoBridgeFraction(3, 1))
-    x0, y0 = dihedral_pi0(5)  # wrong p for this knot
+    x0, y0 = _pi0_images(5)  # wrong p for this knot
     with pytest.raises(NoValidAssignment):
         MatrixRep(pres, {"x": x0, "y": y0})
 

@@ -12,6 +12,7 @@ import talex
 
 from conftest import P, Pstep, prod
 from modp_oracle import nqp_variant_holds, triangular_structure
+from rep_oracle import pi0_rep
 from talex import representations, twisted
 from talex.factorization import conjecture_report, extract_GH, f_polynomial
 from talex.knots import (
@@ -30,7 +31,6 @@ from talex.twisted import (
     CrossCheckMismatch,
     binary_dihedral_total,
     dihedral_total,
-    irr_dihedral_total,
     kmeta_total,
     metacyclic_total,
     modp_congruence,
@@ -108,7 +108,6 @@ INVALID_INPUTS = {
         for fn in (
             dihedral_total,
             perm_dihedral_total,
-            irr_dihedral_total,
             binary_dihedral_total,
             modp_congruence,
             extract_GH,
@@ -183,10 +182,9 @@ def test_perm_dihedral_cross_identity():
 def test_irr_route_matches_gamma_route():
     # conjugate representations agree: the 2n-dim integer one computes
     # the same total as the gamma-substituted xi route
-    from talex.twisted import irr_dihedral_total
-
     for frac, p in [((3, 1), 3), ((9, 1), 3), ((27, 5), 3), ((5, 1), 5), ((85, 19), 5)]:
-        assert irr_dihedral_total(F(*frac), p) == dihedral_total(F(*frac), p)
+        pres = presentation(F(*frac))
+        assert wada(pres, pi0_rep(pres, p)) == dihedral_total(F(*frac), p)
 
 
 def test_perm_dihedral_trefoil_value():
@@ -347,12 +345,10 @@ assert "numpy" not in sys.modules and "sympy" not in sys.modules
 
 def test_larger_prime_routes_agree():
     # beyond the golden range: three computation routes at p = 13
-    from talex.twisted import irr_dihedral_total
-    from talex.factorization import f_polynomial
-
     f = F(13, 1)
+    pres = presentation(f)
     D = dihedral_total(f, 13)
-    assert D == irr_dihedral_total(f, 13)
+    assert D == wada(pres, pi0_rep(pres, 13))
     assert f_polynomial(f, 13).verify()
     assert modp_congruence(F(39, 16), 13)
 

@@ -17,8 +17,8 @@ def test_free_reduction():
     assert W("xXx") == W("x")
     assert (W("xy") * W("Yx")) == W("xx")
     assert W("xyz").inverse() == W("ZYX")
-    assert W("xy") ** 2 == W("xyxy")
-    assert W("xy") ** -1 == W("YX")
+    assert W("xy") * W("xy") == W("xyxy")
+    assert W("xy").inverse() == W("YX")
 
 
 def test_word_text_roundtrip():
@@ -29,7 +29,7 @@ def test_word_text_roundtrip():
 
 def test_abelianize_examples():
     assert W("xyX").exponent_sum() == 1
-    assert (W("xy") ** 5).exponent_sum() == 10
+    assert W("xy" * 5).exponent_sum() == 10
     assert FreeWord().exponent_sum() == 0
 
 
