@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 from math import gcd
+from operator import mul, neg
 
 from .laurent import PreconditionError
 from .matrices import ZZ_POLY, RingMatrix
@@ -60,10 +62,17 @@ class Presentation:
         if len(self.relators) != len(self.gens) - 1:
             raise ValueError("presentation must have deficiency one")
         for r in self.relators:
-            if r.exponent_sum() != 0:
-                raise ValueError("relators of meridian generators abelianize to 0")
-            if r.max_generator() > len(self.gens):
+            # one C-level count per letter code; the known letters must
+            # spell all of r (so no code 0 and no generator beyond gens)
+            known = total = 0
+            for k in range(1, len(self.gens) + 1):
+                up, down = r.codes.count(k), r.codes.count(-k)
+                known += up + down
+                total += up - down
+            if known != len(r.codes):
                 raise ValueError("relator uses an unknown generator")
+            if total != 0:
+                raise ValueError("relators of meridian generators abelianize to 0")
 
     @property
     def num_gens(self):
@@ -78,21 +87,19 @@ def epsilon_sequence(f):
     would not even produce an Alexander polynomial of a knot.  The
     |Delta(-1)| = alpha and symmetry invariants certify the choice.
     """
-    beta = f.beta if f.beta % 2 else f.beta - f.alpha
-    return [
-        -1 if ((i * beta) // f.alpha) % 2 else 1 for i in range(1, f.alpha)
-    ]
+    alpha = f.alpha
+    beta = f.beta if f.beta % 2 else f.beta - alpha
+    return [-1 if ((i * beta) // alpha) % 2 else 1 for i in range(1, alpha)]
 
 
 def presentation(f):
-    """The 2-bridge presentation <x, y | W x W^-1 y^-1>."""
-    eps = epsilon_sequence(f)
-    codes = []
-    for i, e in enumerate(eps):
-        gen = 1 if i % 2 == 0 else 2  # x at odd positions, y at even (1-based)
-        codes.append(gen if e > 0 else -gen)
-    w = FreeWord(codes)
-    relator = w * FreeWord((1,)) * w.inverse() * FreeWord((-2,))
+    """The 2-bridge presentation <x, y | W x W^-1 y^-1>, with
+    W = x^eps_1 y^eps_2 x^eps_3 ... y^eps_(alpha-1)."""
+    # W alternates x and y, so it is freely reduced, and none of the
+    # joins W|x, x|W^-1, W^-1|y^-1 cancels: W ends in a y-letter (alpha
+    # - 1 is even), so W^-1 starts with one, and W^-1 ends in an x-letter
+    w = tuple(map(mul, epsilon_sequence(f), cycle((1, 2))))
+    relator = FreeWord._trusted((*w, 1, *map(neg, reversed(w)), -2))
     return Presentation(gens=("x", "y"), relators=(relator,))
 
 

@@ -28,7 +28,8 @@ assignment that fails its relators keeps no table.  Every image here is
 finite (at most 2p elements for D_p, 4p for the binary dihedral group,
 2pq for N(q,p)), so walking a relator of length L costs L table lookups
 plus at most |G| * 2k matrix products per assignment tried, whatever L
-is.  ``talex.words`` walks Fox derivatives through this table.
+is.  ``talex.words`` walks Fox derivatives through this table and
+takes its left products along the parent edges the table records.
 """
 
 from __future__ import annotations
@@ -429,12 +430,20 @@ class _ImageTable:
     """The multiplication table of the group generated by fixed images.
 
     Element ids map to image matrices (id 0 is the identity) and
-    ``successors[g]`` maps a letter code to the id of element g times
-    that letter's image; the table grows lazily, one matrix product per
-    miss.  Once registered it is shared by every rep with the same images
-    in generator order (``_image_table``), so threads may grow it at
-    once: an id is published in ``successors`` only after its matrix and
-    its own successor map are stored, under a lock.
+    ``successors[g]`` is a row indexed by letter code (a negative code
+    indexes from the end) holding the id of element g times that
+    letter's image, or None while unknown.  Rows are lists, not dicts:
+    hash(-1) == hash(-2) in CPython, and a dict holding both codes pays
+    a slow collision probe on every lookup of the later one.  The table
+    grows lazily, one matrix product per miss, and each edge g -> h it
+    finds also gives h -> g under the inverse letter at no cost.
+    ``parents[h]`` is the edge (g, code) that first reached id h (None
+    for the identity), so following parents from h back to 0 spells a
+    word whose image is element h.  Once registered the table is shared
+    by every rep with the same images in generator order
+    (``_image_table``), so threads may grow it at once: an id is
+    published in ``successors`` only after its matrix, its parent edge
+    and its own successor row are stored, under a lock.
     """
 
     def __init__(self, images):
@@ -443,7 +452,10 @@ class _ImageTable:
         identity = RingMatrix.identity(images[0].ring, images[0].rows)
         self.elements = [identity]
         self.ids = {identity.entries: 0}
-        self.successors = [{}]
+        self._width = 2 * len(images) + 1
+        self.successors = [[None] * self._width]
+        self.parents = [None]
+        self._left = {}  # (k, g) -> the id of element k times element g
         self._grow = threading.Lock()
 
     def image_of_code(self, code):
@@ -451,7 +463,7 @@ class _ImageTable:
 
     def step(self, g, code):
         """The id of element ``g`` times the image of letter ``code``."""
-        h = self.successors[g].get(code)
+        h = self.successors[g][code]
         if h is not None:
             return h
         m = self.elements[g] * self.image_of_code(code)
@@ -461,9 +473,27 @@ class _ImageTable:
                 h = len(self.elements)
                 self.ids[m.entries] = h
                 self.elements.append(m)
-                self.successors.append({})
+                self.parents.append((g, code))
+                self.successors.append([None] * self._width)
             self.successors[g][code] = h
+            self.successors[h][-code] = g
         return h
+
+    def left(self, k, g):
+        """The id of element ``k`` times element ``g``: the table steps
+        from k along the letters of g's parent path, each memoised, so
+        no matrix product is taken beyond the table misses of those
+        steps."""
+        memo = self._left
+        path = []
+        while g and (k, g) not in memo:
+            path.append(g)
+            g = self.parents[g][0]
+        x = memo[k, g] if g else k
+        for h in reversed(path):
+            x = self.step(x, self.parents[h][1])
+            memo[k, h] = x
+        return x
 
 
 # the table of every tuple of generator images (in generator order) that
@@ -522,13 +552,23 @@ class MatrixRep:
     def image_of_code(self, code):
         return self.table.image_of_code(code)
 
+    def require_letters(self, codes):
+        """Raise IndexError unless every letter code names a generator.
+        The table's rows are indexed by code, so a foreign code would
+        read another letter's entry; the relators of ``pres`` passed this
+        check when the presentation was built."""
+        k = len(self.gens)
+        if codes and (max(codes) > k or min(codes) < -k or 0 in codes):
+            raise IndexError(f"a letter code names no generator of {self.gens}")
+
     def walk(self, codes):
-        """The id of the image of the word with letter codes ``codes``."""
+        """The id of the image of the word with letter codes ``codes``,
+        which must name generators (``require_letters``)."""
         successors = self.table.successors
         step = self.table.step
         g = 0
         for c in codes:
-            h = successors[g].get(c)
+            h = successors[g][c]
             g = step(g, c) if h is None else h
         return g
 

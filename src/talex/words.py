@@ -9,13 +9,17 @@ syntax maps ``x y z`` to codes 1 2 3 and uppercase to inverses, so
 Every twisted polynomial only needs a Fox derivative after it is pushed
 forward along a representation rho: G -> GL(n), that is, as an element
 of Z[G][t^+-1] with G the (finite) image group.  ``fox_derivative(r, j,
-rep)`` computes exactly that in one pass over the letters of r, keeping
-a running t-exponent and the id of the current prefix's image in the
-multiplication table of the image group (shared by every rep with the
-same generator images, and read inline: a matrix product is taken only
-on a table miss), and accumulating one integer Laurent polynomial per
-element: O(L) time and memory for a relator of length L, where
-materializing the L prefix words costs O(L^2) of both.
+rep)`` computes exactly that in a single walk over letters of r,
+keeping a running t-exponent and the id of the current prefix's image
+in the multiplication table of the image group (shared by every rep
+with the same generator images, and read inline: a matrix product is
+taken only on a table miss), and accumulating one integer Laurent
+polynomial per element: O(L) time and memory for a relator of length
+L, where materializing the L prefix words costs O(L^2) of both.  A
+relator u a u^-1 c (a and c letters), the form of every Wirtinger
+relator here, is walked along u only: once the table shows that r maps
+to 1, the derivative of the u^-1 half is the left translate of that of
+u by the image of c^-1, read off the table without a matrix product.
 ``rep_evaluate`` then applies each distinct image once, adding integer
 multiples of the integer Laurent polynomials coordinate by coordinate,
 so no coefficient-ring product is taken; the augmentation (the sum
@@ -24,6 +28,8 @@ polynomial.
 """
 
 from __future__ import annotations
+
+from operator import neg
 
 from .laurent import LaurentPoly
 from .matrices import PolyRing, RingMatrix
@@ -111,9 +117,6 @@ class FreeWord:
         """Total exponent over all letters (the abelianization degree)."""
         return sum(1 if c > 0 else -1 for c in self.codes)
 
-    def max_generator(self):
-        return max((abs(c) for c in self.codes), default=0)
-
 
 class ImageSum:
     """An element of Z[G][t^+-1], G the image group of a MatrixRep:
@@ -129,6 +132,7 @@ class ImageSum:
     @classmethod
     def of_word(cls, word, rep):
         """t^(exponent sum) times the image of ``word``."""
+        rep.require_letters(word.codes)
         return cls(
             rep, {rep.walk(word.codes): LaurentPoly.t_power(word.exponent_sum())}
         )
@@ -142,33 +146,80 @@ class ImageSum:
         return acc
 
 
-def fox_derivative(relator, gen_index, rep):
-    """The Fox free derivative of a word with respect to generator
-    ``gen_index`` (0-based), pushed forward into the image group of
-    ``rep``: an ImageSum, computed in one pass without forming any
-    prefix.
+def _conjugator_length(codes):
+    """len(u) when ``codes`` spells u a u^-1 c with a and c single
+    letters, else None; the comparison runs on C-level slices."""
+    m, odd = divmod(len(codes) - 2, 2)
+    if m < 0 or odd or tuple(map(neg, codes[2 * m : m : -1])) != codes[:m]:
+        return None
+    return m
 
-    Standard axioms: d(uv) = du + u dv, dg/dg = 1, dg^-1/dg = -g^-1,
-    and dh^{+-1}/dg = 0 for h != g.  The word is differentiated in its
-    freely reduced form (Fox derivatives are invariant under free
-    reduction).
-    """
-    target = gen_index + 1
-    successors = rep.table.successors
-    step = rep.table.step
-    cells = {}  # element id -> {t-exponent: coefficient}
-    g = 0
-    e = 0
-    for c in relator.codes:
+
+def _walk(letters, target, table, cells, g, e):
+    """Accumulate the Fox-derivative terms of ``letters`` read from the
+    prefix with image id ``g`` and t-exponent ``e`` into ``cells``
+    (element id -> {t-exponent: coefficient}); the final (g, e)."""
+    successors = table.successors
+    step = table.step
+    for c in letters:
         if c == target:
             cell = cells.setdefault(g, {})
             cell[e] = cell.get(e, 0) + 1
-        h = successors[g].get(c)
+        h = successors[g][c]
         g = step(g, c) if h is None else h
         e += 1 if c > 0 else -1
         if c == -target:
             cell = cells.setdefault(g, {})
             cell[e] = cell.get(e, 0) - 1
+    return g, e
+
+
+def fox_derivative(relator, gen_index, rep):
+    """The Fox free derivative of a word with respect to generator
+    ``gen_index`` (0-based), pushed forward into the image group of
+    ``rep``: an ImageSum, computed without forming any prefix.
+
+    Standard axioms: d(uv) = du + u dv, dg/dg = 1, dg^-1/dg = -g^-1,
+    and dh^{+-1}/dg = 0 for h != g.  The word is differentiated in its
+    freely reduced form (Fox derivatives are invariant under free
+    reduction).
+
+    A word u a u^-1 c (a, c letters; every Wirtinger relator here) is
+    walked only along u when its graded image Phi is 1, i.e. when a and
+    c have opposite signs and u a and c^-1 u have one image on the
+    table.  Then Phi(u a u^-1) = Phi(c)^-1 and
+    Phi(dr) = (1 - Phi(c)^-1) Phi(du) + Phi(u) Phi(da) + Phi(c)^-1 Phi(dc),
+    the last two terms being the letters a and c walked from the
+    prefixes u and c^-1.  Any other word is walked letter by letter.
+    """
+    target = gen_index + 1
+    table = rep.table
+    codes = relator.codes
+    if not any(relator is r for r in rep.pres.relators):
+        rep.require_letters(codes)
+    cells = {}  # element id -> {t-exponent: coefficient}
+    m = _conjugator_length(codes)
+    if m is None:
+        _walk(codes, target, table, cells, 0, 0)
+        return _image_sum(rep, cells)
+    g, e = _walk(codes[:m], target, table, cells, 0, 0)
+    a, c = codes[m], codes[-1]
+    inv_c = table.step(0, -c)
+    if a * c > 0 or table.step(g, a) != table.left(inv_c, g):
+        _walk(codes[m:], target, table, cells, g, e)
+        return _image_sum(rep, cells)
+    shift = 1 if a > 0 else -1  # the t-degree of c^-1
+    out = {h: dict(cell) for h, cell in cells.items()}
+    for h, cell in cells.items():
+        dst = out.setdefault(table.left(inv_c, h), {})
+        for x, v in cell.items():
+            dst[x + shift] = dst.get(x + shift, 0) - v
+    _walk((a,), target, table, out, g, e)
+    _walk((c,), target, table, out, inv_c, shift)
+    return _image_sum(rep, out)
+
+
+def _image_sum(rep, cells):
     return ImageSum(rep, {h: LaurentPoly.from_dict(cell) for h, cell in cells.items()})
 
 

@@ -1,10 +1,11 @@
 """The streamed Fox walk against the free-word oracle, and its scale.
 
 ``fox_derivative(r, j, rep)`` pushes the derivative forward into the
-image group in one pass; the oracle (``fox_oracle``) lists every prefix
-word and multiplies matrices along them.  The two share no code beyond
-the generator images, so agreement on every representation flavor is
-the correctness certificate of the walk.
+image group, walking a relator u a u^-1 c along u alone; the oracle
+(``fox_oracle``) lists every prefix word and multiplies matrices along
+them.  The two share no code beyond the generator images, so agreement
+on every representation flavor, on relators and on words that the
+walk may not fold, is the correctness certificate of the walk.
 """
 
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 import fox_oracle
 from rep_oracle import eta_rep, pi0_rep
-from talex import representations
+from talex import representations, words
 from talex.knots import (
     TwoBridgeFraction,
     alexander,
@@ -29,9 +30,11 @@ from talex.representations import (
     NoValidAssignment,
     _ImageTable,
     binary_dihedral_rep,
+    dihedral_pi,
     dihedral_rep,
     dihedral_xi,
     kmeta_rep,
+    nqp_images,
     nqp_rep,
     rep_from_pair,
     trivial_rep,
@@ -103,6 +106,72 @@ def test_walk_matches_oracle_on_8_5():
         assert_walk_matches_oracle(pres, rep)
 
 
+def conjugate_words(rng, count):
+    """Freely reduced words u a u^-1 c, a and c single letters."""
+    letters = [1, -1, 2, -2]
+    out = []
+    while len(out) < count:
+        u = FreeWord([rng.choice(letters) for _ in range(rng.randrange(9))]).codes
+        codes = (*u, rng.choice(letters), *(-c for c in reversed(u)), rng.choice(letters))
+        if len(FreeWord(codes)) == len(codes):
+            out.append(FreeWord._trusted(codes))
+    return out
+
+
+def test_words_that_do_not_fold_are_walked_in_full(rng, monkeypatch):
+    # u a u^-1 c that the rep does not map to 1, the relator with one end
+    # letter inverted (rho(r) is still 1 for dihedral images, since x and
+    # y map to reflections, but the t-grading is not), and words of odd
+    # length: each agrees with the free-word oracle at every column, and
+    # only the relator itself is walked along its conjugator alone
+    walked = []
+    walk = words._walk
+
+    def counting(letters, *args):
+        walked.append(len(letters))
+        return walk(letters, *args)
+
+    monkeypatch.setattr(words, "_walk", counting)
+    f = random_fraction(rng, p=5, max_alpha=100)
+    pres = presentation(f)
+    r = pres.relators[0].codes
+    m = len(r) // 2 - 1
+    flipped = [
+        FreeWord._trusted((*r[:m], -r[m], *r[m + 1 :])),
+        FreeWord._trusted((*r[:-1], -r[-1])),
+    ]
+    odd = [
+        FreeWord([rng.choice([1, -1, 2, -2]) for _ in range(n)])
+        for n in (1, 3, 7, 15, 31)
+    ]
+    odd = [w for w in odd if len(w) % 2]
+    assert odd
+    reps = {
+        "xi": dihedral_rep(pres, 5, "xi"),
+        "N(2,p)": nqp_rep(pres, 2, 5),
+        "K-metacyclic": kmeta_rep(pres, 5, 4),
+    }
+    for name, rep in reps.items():
+        folded = []
+        for w in [pres.relators[0], *flipped, *odd, *conjugate_words(rng, 40)]:
+            ones = rep.walk(w.codes) == 0 and sum(1 if c > 0 else -1 for c in w.codes) == 0
+            for j in range(2):
+                walked.clear()
+                free = fox_oracle.fox(w, j)
+                streamed = fox_derivative(w, j, rep)
+                assert rep_evaluate(streamed) == fox_oracle.evaluate(free, rep), (name, w, j)
+                assert streamed.augmentation() == fox_oracle.psi(free), (name, w, j)
+                if ones and len(w) % 2 == 0:
+                    assert walked == [len(w) // 2 - 1, 1, 1], (name, w)
+                else:
+                    assert sum(walked) == len(w), (name, w)
+            folded.append(ones)
+        assert folded[:3] == [True, False, False], name
+        assert not any(folded[3 : 3 + len(odd)]), name
+        # the random conjugates hit both branches
+        assert True in folded[3 + len(odd) :] and False in folded[3 + len(odd) :], name
+
+
 def assert_fundamental_identity(pres, rep, label=""):
     # sum_j rep(dR/dx_j) (X_j t - I) = rep(R) - I = 0 for every relator R
     gens = [
@@ -133,12 +202,55 @@ def test_fundamental_identity_on_the_walk(rng):
 
 
 def assert_table_consistent(table):
-    # every id's matrix is the product along its edges, and ids are unique
-    for g, edges in enumerate(table.successors):
-        for code, h in edges.items():
-            assert table.elements[g] * table.image_of_code(code) == table.elements[h]
-    assert len(table.successors) == len(table.elements)
+    # every id's matrix is the product along its edges and along the
+    # parent edge that first reached it, and ids are unique
+    k = len(table.images)
+    for g, row in enumerate(table.successors):
+        assert len(row) == 2 * k + 1 and row[0] is None
+        for code in [c for i in range(1, k + 1) for c in (i, -i)]:
+            h = row[code]
+            if h is not None:
+                assert table.elements[g] * table.image_of_code(code) == table.elements[h]
+    assert table.parents[0] is None
+    for h, (g, code) in enumerate(table.parents[1:], 1):
+        assert g < h
+        assert table.elements[h] == table.elements[g] * table.image_of_code(code)
+    assert len(table.successors) == len(table.elements) == len(table.parents)
     assert {m.entries: g for g, m in enumerate(table.elements)} == table.ids
+
+
+def complete_table(images):
+    """A fresh table grown to the whole image group."""
+    table = _ImageTable(images)
+    codes = [c for i in range(len(images)) for c in (i + 1, -i - 1)]
+    g = 0
+    while g < len(table.elements):
+        for c in codes:
+            table.step(g, c)
+        g += 1
+    return table
+
+
+@pytest.mark.parametrize(
+    "images, order",
+    [
+        (lambda: dihedral_xi(5), 10),
+        (lambda: dihedral_pi(7), 14),
+        (lambda: nqp_images(3, 5), 30),
+    ],
+    ids=["xi p=5", "pi p=7", "N(3,5)"],
+)
+def test_left_product_is_the_matrix_product(images, order, monkeypatch):
+    table = complete_table(images())
+    assert len(table.elements) == order
+    assert_table_consistent(table)
+    # every edge is known, so the left products take no matrix product
+    elements = list(table.elements)
+    monkeypatch.setattr(RingMatrix, "__mul__", None)
+    left = {(k, g): table.left(k, g) for k in range(order) for g in range(order)}
+    monkeypatch.undo()
+    for (k, g), h in left.items():
+        assert elements[h] == elements[k] * elements[g], (k, g)
 
 
 def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng, monkeypatch):
@@ -245,6 +357,19 @@ def test_threads_walking_one_fresh_table_get_the_same_ids(rng):
     assert all(out == results[0] for out in results.values())
     assert len(table.elements) == 22
     assert_table_consistent(table)
+
+
+@pytest.mark.parametrize("codes", [(1, 3, -1), (2, -3), (1, 0, -1), (5,), (-5,)])
+def test_a_letter_code_outside_the_generators_is_refused(codes):
+    # table rows are indexed by letter code, where 3 and -2 (and 0 and
+    # the wrap of -5) would share a slot: a foreign code must raise, not
+    # read another letter's entry
+    rep = dihedral_rep(presentation(TwoBridgeFraction(3, 1)), 3, "xi")
+    for j in range(2):
+        with pytest.raises(IndexError, match="names no generator"):
+            fox_derivative(FreeWord._trusted(codes), j, rep)
+    with pytest.raises(IndexError, match="names no generator"):
+        ImageSum.of_word(FreeWord._trusted(codes), rep)
 
 
 def test_zero_derivative_evaluates_to_zero():

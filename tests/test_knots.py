@@ -7,8 +7,10 @@ import pytest
 
 from conftest import P, prod
 from hp_oracle import knots_with_expansion
+from relator_oracle import relator
 from talex.knots import (
     ContinuedFraction,
+    Presentation,
     TwoBridgeFraction,
     alexander,
     cf_eval,
@@ -61,6 +63,38 @@ def test_presentation_examples():
     pres5 = presentation(TwoBridgeFraction(5, 1))
     w = FreeWord.from_text("xyxy")
     assert pres5.relators[0] == w * FreeWord.from_text("x") * w.inverse() * FreeWord.from_text("Y")
+
+
+def test_presentation_matches_the_free_word_construction():
+    # odd and even beta (the even ones take the odd representative
+    # beta - alpha), alpha = 3, and seeded knots up to alpha = 9999
+    rng = random.Random(24)
+    fractions = [TwoBridgeFraction(3, 1), TwoBridgeFraction(3, 2)]
+    fractions += [random_fraction(rng, max_alpha=9999) for _ in range(30)]
+    assert {f.beta % 2 for f in fractions} == {0, 1}
+    assert max(f.alpha for f in fractions) > 5000
+    for f in fractions:
+        pres = presentation(f)
+        assert pres.relators == (relator(f),), f
+        assert len(pres.relators[0]) == 2 * f.alpha
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        ((1, 2, -1), "abelianize to 0"),  # exponent sum 1
+        ((-2, -2, 1), "abelianize to 0"),  # exponent sum -1
+        ((1, 3, -1, -3), "unknown generator"),  # z in <x, y>
+        ((1, -4, -1, 4), "unknown generator"),
+        # code 0 is no generator; only a trusted word can hold it, and
+        # with code 0 read as an inverse letter the exponent sum is 0
+        ((1, 0), "unknown generator"),
+        ((2, 0, 1, -1), "unknown generator"),
+    ],
+)
+def test_presentation_checks_refuse_bad_relators(codes, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation(gens=("x", "y"), relators=(FreeWord._trusted(codes),))
 
 
 def test_presentation_8_5_shape():

@@ -1,6 +1,9 @@
 """Properties of the package source as a whole."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import talex
@@ -52,3 +55,17 @@ def test_exact_layers_import_nothing_from_fractions():
         if module == "fractions"
     ]
     assert found == []
+
+
+def test_import_builds_no_image_table():
+    # importing the package takes no representation work: the image
+    # tables are grown only by the reps a call constructs
+    code = "import talex\nfrom talex import representations\nprint(len(representations._TABLES))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(talex.__file__).parent.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "0"
