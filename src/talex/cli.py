@@ -218,8 +218,19 @@ def build_parser():
 
     p_v = add_parser("verify", help="run a verification suite")
     p_v.add_argument("suite", help="paper | identities | appendix | census")
-    p_v.add_argument("--max-n", type=int, default=None)
-    p_v.add_argument("--seed", type=int, default=None)
+    p_v.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        help="census: the number of sampled knots (default 50); appendix: the "
+        "largest n (default 20); paper and identities ignore it",
+    )
+    p_v.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="census: the sampling seed (default 7); the other suites ignore it",
+    )
     p_v.set_defaults(fn=cmd_verify)
 
     return parser

@@ -23,13 +23,15 @@ verify their defining identities on the spot.
 A ``MatrixRep`` reads the multiplication table of its image group,
 built lazily as words are walked and shared by every rep with the same
 generator images, so the relator checks of later knots at the same p
-and of the torus knot K(1/p) reuse the products of the first; an
-assignment that fails its relators keeps no table.  Every image here is
+and of the torus knot K(1/p) reuse the products of the first; only a
+table on which the relators hold is registered.  Every image here is
 finite (at most 2p elements for D_p, 4p for the binary dihedral group,
 2pq for N(q,p)), so walking a relator of length L costs L table lookups
-plus at most |G| * 2k matrix products per assignment tried, whatever L
-is.  ``talex.words`` walks Fox derivatives through this table and
-takes its left products along the parent edges the table records.
+plus at most |G| * 2k matrix products, whatever L is.  The meridian
+exponents come from one linear solve mod p (``search_assignment``),
+whose coefficients are read from one walk of each relator per
+generator.  ``talex.words`` walks Fox derivatives through this table
+and takes its left products along the parent edges the table records.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb, gcd
 
 from .laurent import LaurentPoly, PreconditionError, cyclotomic_poly
@@ -422,7 +423,7 @@ def multiplicative_order(k, p):
 
 
 # ---------------------------------------------------------------------------
-# MatrixRep and assignment search
+# MatrixRep and the meridian solve
 # ---------------------------------------------------------------------------
 
 
@@ -495,10 +496,21 @@ class _ImageTable:
             memo[k, h] = x
         return x
 
+    def walk(self, codes):
+        """The id of the image of the word with letter codes ``codes``,
+        which must name generators (``MatrixRep.require_letters``)."""
+        successors = self.successors
+        step = self.step
+        g = 0
+        for c in codes:
+            h = successors[g][c]
+            g = step(g, c) if h is None else h
+        return g
+
 
 # the table of every tuple of generator images (in generator order) that
-# satisfies the relators of some presentation; a meridian search tries up
-# to p^(k-1) tuples, and the tables of those that fail are not kept
+# satisfies the relators of some presentation; the tables of the meridian
+# solve's unit walks and of a refused assignment are not kept
 _TABLES = {}
 
 
@@ -549,9 +561,6 @@ class MatrixRep:
                 )
         self.table = _TABLES.setdefault(key, self.table)
 
-    def image_of_code(self, code):
-        return self.table.image_of_code(code)
-
     def require_letters(self, codes):
         """Raise IndexError unless every letter code names a generator.
         The table's rows are indexed by code, so a foreign code would
@@ -564,13 +573,7 @@ class MatrixRep:
     def walk(self, codes):
         """The id of the image of the word with letter codes ``codes``,
         which must name generators (``require_letters``)."""
-        successors = self.table.successors
-        step = self.table.step
-        g = 0
-        for c in codes:
-            h = successors[g][c]
-            g = step(g, c) if h is None else h
-        return g
+        return self.table.walk(codes)
 
     def element(self, g):
         """The image matrix of element id ``g``."""
@@ -588,27 +591,99 @@ def rep_from_pair(pres, s_img, a_img, exponents):
     return MatrixRep(pres, images)
 
 
-def search_assignment(pres, s_img, a_img, a_order):
-    """The rep generator_i -> s_img * a_img^e_i for the first exponents
-    under which every relator maps to the identity.
+def _relator_columns(pres, s_img, a_img, p):
+    """Row r holds, for j = 1 .. k-1, the c with relator r -> a^c under
+    the unit assignment x_j -> s*a, every other generator -> s.
 
-    Tries the lexicographic tuples with the first generator pinned to
-    s_img, one at a time; for two generators the first one tried is
-    (0, 1).  All-equal tuples are skipped: they give abelian images,
-    never a genuine metacyclic representation.
+    Every unit walk runs on the one table of the images (s, s*a), letter
+    x_j relabelled to the second and every other letter to the first.  A
+    relator has exponent sum 0, so it ends at a power of a; the powers
+    are named by stepping along x_0^-1 x_j (-> a) from the identity,
+    until every end is named.
     """
+    table = _image_table((s_img, _pair_image(s_img, a_img, 1)))
     k = len(pres.gens)
-    for tail in product(range(a_order), repeat=k - 1):
-        cand = (0,) + tail
-        if len(set(cand)) == 1:
-            continue
-        try:
-            return rep_from_pair(pres, s_img, a_img, cand)
-        except NoValidAssignment:
-            continue
-    raise NoValidAssignment(
+    units = []
+    for j in range(2, k + 1):
+        unit = [0] + [1] * k + [-1] * k  # indexed by letter code
+        unit[j], unit[-j] = 2, -2
+        units.append(unit)
+    ends = [
+        [table.walk([unit[c] for c in rel.codes]) for unit in units]
+        for rel in pres.relators
+    ]
+    unnamed = {g for row in ends for g in row} - {0}
+    logs, g = {0: 0}, 0
+    for c in range(1, p):
+        if not unnamed:
+            break
+        g = table.step(table.step(g, -1), 2)
+        logs[g] = c
+        unnamed.discard(g)
+    return [[logs[g] for g in row] for row in ends]
+
+
+def _least_kernel_vector(rows, p):
+    """The lexicographically least nonzero x over Z/p with row . x = 0
+    for every row, or None.
+
+    Gauss-Jordan elimination takes the columns last to first; the first
+    column without a pivot is the last coordinate f that a nonzero
+    kernel vector can lead with.  The least such vector is the one with
+    zeros before f and a 1 at f, which is unique: the columns after f
+    are independent.
+    """
+    free = [list(row) for row in rows]
+    pivots = []  # (column, its reduced pivot row)
+    for col in reversed(range(len(rows[0]))):
+        row = next((r for r in free if r[col] % p), None)
+        if row is None:
+            x = [0] * len(rows[0])
+            x[col] = 1
+            for q, prow in pivots:
+                x[q] = -prow[col] % p
+            return tuple(x)
+        free.remove(row)
+        inv = pow(row[col], -1, p)
+        row = [v * inv % p for v in row]
+        for other in free + [prow for _, prow in pivots]:
+            c = other[col]
+            if c % p:
+                other[:] = [(v - c * w) % p for v, w in zip(other, row)]
+        pivots.append((col, row))
+    return None
+
+
+def search_assignment(pres, s_img, a_img, a_order):
+    """The rep generator_i -> s_img * a_img^e_i for the lexicographically
+    least exponents e, with e_0 = 0 and not all equal (those give abelian
+    images), under which every relator maps to the identity.
+
+    Conjugation by s_img raises a_img, of prime order p = a_order, to a
+    fixed power k, so a relator (exponent sum 0) maps to a_img^c with c
+    linear in e over Z/p, and the relators hold exactly when e solves one
+    linear system mod p: for k = -1 Fox's p-colourings, in general the
+    abelianized Fox matrix at t = k.  Its columns come from
+    ``_relator_columns`` and its least solution from
+    ``_least_kernel_vector``; the rep's own relator walk certifies it.
+    With two generators the one candidate is (0, 1), and that walk alone
+    decides.
+    """
+    refusal = NoValidAssignment(
         f"no meridian assignment works for {pres.gens} (order-{a_order} rotation)"
     )
+    if len(pres.gens) == 2:
+        try:
+            return rep_from_pair(pres, s_img, a_img, (0, 1))
+        except NoValidAssignment:
+            raise refusal from None
+    tail = _least_kernel_vector(_relator_columns(pres, s_img, a_img, a_order), a_order)
+    if tail is None:
+        raise refusal
+    try:
+        return rep_from_pair(pres, s_img, a_img, (0,) + tail)
+    except NoValidAssignment as e:
+        raise AssertionError(f"the solved meridian exponents {(0,) + tail} fail: {e}") from e
 
 
 @lru_cache(maxsize=None)
@@ -623,10 +698,10 @@ def dihedral_rep(pres, p, flavor="xi"):
     """A dihedral representation of the presentation.
 
     flavor 'xi': 2x2 over Z[omega], the paper's irreducible one; 'pi':
-    the p-dimensional permutation one.  x maps to the printed x-image and
-    y to the printed y-image when that satisfies the relators (it always
-    does for 2-bridge knots with p | alpha); otherwise the
-    conjugate-assignment search kicks in.
+    the p-dimensional permutation one.  Generator i maps to the printed
+    x-image times the rotation x^-1 y to the power e_i, e from the
+    meridian solve (``search_assignment``); for a 2-bridge knot with
+    p | alpha that is x -> x, y -> y.
     """
     if flavor == "xi":
         X, Y = dihedral_xi(p)
@@ -648,8 +723,17 @@ def nqp_rep(pres, q, p):
 
 
 def kmeta_rep(pres, p, k):
+    """The K-metacyclic rep generator_i -> sigma(s) sigma(a)^e_i.  The
+    meridian solve's system is square once e_0 = 0 is pinned (deficiency
+    one), with determinant Delta(k) up to a unit mod p, so it refuses
+    exactly when Delta(k) != 0 mod p, and says so."""
     sigma_s, sigma_a = kmeta_images(p, k)
-    return search_assignment(pres, sigma_s, sigma_a, p)
+    try:
+        return search_assignment(pres, sigma_s, sigma_a, p)
+    except NoValidAssignment:
+        raise NoValidAssignment(
+            f"Delta({k}) != 0 mod {p}: no K-metacyclic representation exists"
+        ) from None
 
 
 def trivial_rep(pres):

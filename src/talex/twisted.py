@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .knots import alexander, presentation
 from .laurent import (
     LaurentPoly,
-    PreconditionError,
     cyclotomic_poly,
     gf_exact_div,
     modp_unit_equal,
@@ -28,7 +27,6 @@ from .matrices import RingMatrix, cyclic_product, gamma_substitute
 from .representations import (
     binary_dihedral_rep,
     dihedral_rep,
-    kmeta_images,
     kmeta_rep,
     multiplicative_order,
     nqp_rep,
@@ -149,16 +147,11 @@ def kmeta_total(pres, p, k):
     """The K-metacyclic twisted polynomial plus the Conjecture-A report:
     divide by Delta/(1-t) exactly and recognize the quotient as a
     polynomial in t^m, m the order of k mod p.  Raises PreconditionError
-    unless p is an odd prime, k is neither 0 nor 1 mod p and
-    Delta(k) = 0 mod p, or when no meridian assignment works."""
-    kmeta_images(p, k)  # the p and k preconditions, before Delta
-    delta = alexander(pres)
-    if delta.eval_int(k) % p != 0:
-        raise PreconditionError(
-            f"Delta({k}) != 0 mod {p}: no K-metacyclic representation exists"
-        )
+    unless p is an odd prime and k is neither 0 nor 1 mod p, and, from
+    the meridian solve of ``kmeta_rep``, unless Delta(k) = 0 mod p."""
     rep = kmeta_rep(pres, p, k)
     total = wada(pres, rep)
+    delta = alexander(pres)
     m = multiplicative_order(k, p)
     one_minus_t = LaurentPoly.from_int_coeffs([1, -1])
     factor = None

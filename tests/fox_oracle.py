@@ -81,7 +81,7 @@ def evaluate(terms, rep):
         if codes[: len(prev)] != prev:
             prev, mat = (), identity
         for c in codes[len(prev) :]:
-            mat = mat * rep.image_of_code(c)
+            mat = mat * rep.table.image_of_code(c)
         prev = codes
         d = _exponent_sum(codes)
         term = mat.scale(ring.from_int(terms[codes]))

@@ -16,7 +16,14 @@ The Wada invariant of pi0 is the dihedral total D(t) computed without
 Z[omega] or the gamma substitution, so it is the oracle of that route.
 At p = 3, where pi0 is 2x2 over the integers, it is also the faster of
 the two.
+
+``exhaustive_exponents`` is the oracle of the library's meridian solve:
+it tries the exponent tuples one at a time in lexicographic order and
+multiplies the generator images along each relator, reading no image
+table.
 """
+
+from itertools import product
 
 from talex.laurent import LaurentPoly
 from talex.matrices import PolyRing, RingMatrix
@@ -25,16 +32,43 @@ from talex.representations import _eta_images, _pi0_images, search_assignment
 
 def eta_rep(pres, p):
     """The 2n-dimensional integer rep eta (xi with omega -> C_n), found by
-    the meridian search that every dihedral rep takes."""
+    the meridian solve that every dihedral rep takes."""
     x, y = _eta_images(p)
     return search_assignment(pres, x, x.inverse() * y, p)
 
 
 def pi0_rep(pres, p):
     """The 2n-dimensional irreducible integer rep pi0, conjugate to eta by
-    U_n, found by the same meridian search."""
+    U_n, found by the same meridian solve."""
     x, y = _pi0_images(p)
     return search_assignment(pres, x, x.inverse() * y, p)
+
+
+def exhaustive_exponents(pres, s_img, a_img, a_order):
+    """The first exponents (0, e_1, ..., e_{k-1}), not all equal, in
+    lexicographic order under which every relator of ``pres`` maps to the
+    identity when generator i maps to s_img * a_img^e_i; None when no
+    tuple does.  Up to a_order^(k-1) tuples, each relator's image taken
+    as a running matrix product."""
+    identity = RingMatrix.identity(a_img.ring, a_img.rows)
+    images = [s_img]
+    for _ in range(1, a_order):
+        images.append(images[-1] * a_img)
+    inverses = [m.inverse() for m in images]
+
+    def image(rel, exponents):
+        mat = identity
+        for c in rel.codes:
+            mat = mat * (images[exponents[c - 1]] if c > 0 else inverses[exponents[-c - 1]])
+        return mat
+
+    for tail in product(range(a_order), repeat=pres.num_gens - 1):
+        exponents = (0,) + tail
+        if len(set(exponents)) > 1 and all(
+            image(rel, exponents) == identity for rel in pres.relators
+        ):
+            return exponents
+    return None
 
 
 def evaluate(s):

@@ -265,13 +265,13 @@ def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng, monkey
             word = FreeWord([rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(12))])
             product = rep.element(0)
             for c in word.codes:
-                product = product * rep.image_of_code(c)
+                product = product * rep.table.image_of_code(c)
             assert rep.element(rep.walk(word.codes)) == product
         assert len(rep.table.elements) <= order
         assert_table_consistent(rep.table)
-    # 5 does not divide 7: each of the 4 candidates of the search fails
-    # its relator on a table of its own, grown consistent, and none of
-    # them is registered for later reps
+    # 5 does not divide 7: the one candidate (0, 1) of two generators
+    # fails its relator on a table of its own, grown consistent, and it
+    # is not registered for later reps
     tried = []
     fresh = representations._image_table
     monkeypatch.setattr(representations, "_TABLES", {})
@@ -280,15 +280,16 @@ def test_word_image_reads_the_table_and_the_table_is_the_image_group(rng, monkey
     )
     with pytest.raises(NoValidAssignment):
         dihedral_rep(presentation(TwoBridgeFraction(7, 3)), 5, "xi")
-    assert len(tried) == 4 and representations._TABLES == {}
+    assert len(tried) == 1 and representations._TABLES == {}
     for table in tried:
         assert len(table.elements) > 1
         assert_table_consistent(table)
 
 
 def test_a_meridian_search_registers_only_the_table_it_returns(monkeypatch):
-    # Delta(8_5)(11) = 0 mod 47; the search tries 67 exponent tuples and
-    # only the last holds: the tables of the other 66 are not kept
+    # Delta(8_5)(11) = 0 mod 47; the solve's unit walks read a table of
+    # the images (s, s*a) and the rep's own table holds (0, 1, 20): only
+    # the second is kept
     monkeypatch.setattr(representations, "_TABLES", {})
     rep = kmeta_rep(presentation_8_5(), 47, 11)
     assert list(representations._TABLES.values()) == [rep.table]

@@ -1,15 +1,29 @@
 """Representation construction: theta, the (XY)^k table, the appendix
-matrices U_n and V_n, and the metacyclic generator images."""
+matrices U_n and V_n, the metacyclic generator images, and the meridian
+solve against the exhaustive search (``rep_oracle``)."""
+
+import random
+from itertools import product
 
 import pytest
 
 from conftest import P
-from talex.knots import TwoBridgeFraction, presentation, presentation_8_5
+from rep_oracle import exhaustive_exponents
+from talex import representations
+from talex.knots import (
+    TwoBridgeFraction,
+    alexander,
+    presentation,
+    presentation_8_5,
+    random_fraction,
+)
 from talex.laurent import LaurentPoly, PreconditionError, cyclotomic_poly
 from talex.matrices import RingMatrix, companion_matrix
 from talex.representations import (
     MatrixRep,
     NoValidAssignment,
+    _ImageTable,
+    _least_kernel_vector,
     _pi0_images,
     binary_dihedral,
     binary_dihedral_rep,
@@ -27,6 +41,7 @@ from talex.representations import (
     nqp_images,
     nqp_rep,
     omega_ring,
+    search_assignment,
     theta,
     u_matrix,
     v_matrix,
@@ -332,3 +347,112 @@ def test_every_constructed_rep_checks_relators():
         I = RingMatrix.identity(rep.coeff_ring, rep.dim)
         for r in pres.relators:
             assert rep.element(rep.walk(r.codes)) == I
+
+
+def solve_matches_oracle(pres, s_img, a_img, p):
+    """The meridian solve's exponents, checked against the exhaustive
+    search: the same images, or a refusal where the search finds none."""
+    expected = exhaustive_exponents(pres, s_img, a_img, p)
+    if expected is None:
+        with pytest.raises(NoValidAssignment):
+            search_assignment(pres, s_img, a_img, p)
+    else:
+        rep = search_assignment(pres, s_img, a_img, p)
+        assert rep.table.images == tuple(s_img * a_img**e for e in expected), (p, expected)
+    return expected
+
+
+def test_the_meridian_solve_returns_the_exhaustive_search_exponents_on_8_5():
+    pres = presentation_8_5()
+    delta = alexander(pres)
+    cases = [(p, k) for p in (3, 5, 7, 11, 13) for k in range(2, p)]
+    cases += [
+        (p, k) for p in (17, 19, 23) for k in range(2, p) if delta.eval_int(k) % p == 0
+    ]
+    found = [solve_matches_oracle(pres, *kmeta_images(p, k), p) for p, k in cases]
+    assert len(cases) == 37 and sum(e is not None for e in found) == 14
+    # three generators take the solve; (0, 1, 3) is not the search's first try
+    assert found[cases.index((17, 5))] == (0, 1, 3)
+    for p, pinned in ((3, (0, 1, 0)), (7, (0, 1, 1))):
+        for x, y in (dihedral_xi(p), dihedral_pi(p), binary_dihedral(p), nqp_images(2, p)):
+            assert solve_matches_oracle(pres, x, x.inverse() * y, p) == pinned
+
+
+def test_the_least_kernel_vector_is_the_first_in_lexicographic_order():
+    # random systems over Z/p of every rank, against enumeration
+    rng = random.Random(20)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 5)
+        basis = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(1, n + 1))]
+        rows = [
+            [sum(rng.randrange(p) * b[j] for b in basis) % p for j in range(n)]
+            for _ in range(rng.randrange(1, 5))
+        ]
+        first = next(
+            (
+                x
+                for x in product(range(p), repeat=n)
+                if any(x) and all(sum(a * b for a, b in zip(r, x)) % p == 0 for r in rows)
+            ),
+            None,
+        )
+        assert _least_kernel_vector(rows, p) == first, (rows, p)
+
+
+def test_a_two_generator_rep_build_walks_each_relator_once(monkeypatch):
+    # (0, 1) is the one candidate, so its relator walk is the whole solve:
+    # a separate solve walk would show here, on a fresh table and on the
+    # registered one, and for a refusal too
+    walked = []
+    walk = _ImageTable.walk
+    monkeypatch.setattr(
+        _ImageTable, "walk", lambda table, codes: walked.append(tuple(codes)) or walk(table, codes)
+    )
+    monkeypatch.setattr(representations, "_TABLES", {})
+    pres = presentation(TwoBridgeFraction(45, 7))
+    trefoil = presentation(TwoBridgeFraction(3, 1))
+    builds = [
+        (pres, lambda: dihedral_rep(pres, 5, "xi")),
+        (pres, lambda: dihedral_rep(pres, 5, "pi")),
+        (pres, lambda: binary_dihedral_rep(pres, 5)),
+        (pres, lambda: nqp_rep(pres, 2, 5)),
+        (trefoil, lambda: kmeta_rep(trefoil, 7, -2)),
+    ]
+    for knot, build in builds + builds:
+        walked.clear()
+        build()
+        assert walked == [r.codes for r in knot.relators]
+    refused = presentation(TwoBridgeFraction(5, 1))  # Delta(-2) = 31
+    walked.clear()
+    with pytest.raises(NoValidAssignment):
+        kmeta_rep(refused, 7, -2)
+    assert walked == [r.codes for r in refused.relators]
+
+
+def test_kmeta_rep_refuses_exactly_when_delta_k_is_not_zero_mod_p():
+    rng = random.Random(27)
+    knots = [presentation_8_5()]
+    knots += [presentation(random_fraction(rng, max_alpha=300)) for _ in range(20)]
+    built = refused = 0
+    for pres in knots:
+        delta = alexander(pres)
+        for p in (5, 7, 11):
+            for k in range(2, p):
+                if delta.eval_int(k) % p == 0:
+                    assert kmeta_rep(pres, p, k).dim == p
+                    built += 1
+                else:
+                    with pytest.raises(NoValidAssignment, match=rf"^Delta\({k}\) != 0 mod {p}:"):
+                        kmeta_rep(pres, p, k)
+                    refused += 1
+    assert built and refused
+
+
+def test_a_solve_that_breaks_a_relator_is_a_certificate_failure(monkeypatch):
+    # on 8_5 at p = 3 the solve gives (0, 1, 0); a forged (0, 0, 1) fails
+    # the rep's relator walk, which is an internal error, not a refusal
+    monkeypatch.setattr(representations, "_least_kernel_vector", lambda rows, p: (0, 1))
+    x, y = dihedral_xi(3)
+    with pytest.raises(AssertionError, match=r"\(0, 0, 1\)"):
+        search_assignment(presentation_8_5(), x, x.inverse() * y, 3)

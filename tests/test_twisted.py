@@ -13,7 +13,7 @@ import talex
 from conftest import P, Pstep, prod
 from modp_oracle import nqp_variant_holds, triangular_structure
 from rep_oracle import pi0_rep
-from talex import representations, twisted
+from talex import representations
 from talex.factorization import conjecture_report, extract_GH, f_polynomial
 from talex.knots import (
     TwoBridgeFraction,
@@ -123,44 +123,29 @@ INVALID_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
 def test_invalid_input_is_refused_before_any_determinant(monkeypatch, case):
-    # the Fox minor of the Alexander polynomial is the one determinant a
-    # refusal may read (the Delta(k) test of kmeta_total); no Wada
-    # quotient and no total is taken
-    calls, in_alexander = [], []
-    det, alex = RingMatrix.det, twisted.alexander
+    # no Wada quotient, no total and no Alexander polynomial is taken: the
+    # Delta(k) refusal of kmeta_total comes from the meridian solve
+    calls = []
+    det = RingMatrix.det
 
     def counted_det(self):
-        if not in_alexander:
-            calls.append(1)
+        calls.append(1)
         return det(self)
 
-    def uncounted_alexander(pres):
-        in_alexander.append(1)
-        try:
-            return alex(pres)
-        finally:
-            in_alexander.pop()
-
     monkeypatch.setattr(RingMatrix, "det", counted_det)
-    monkeypatch.setattr(twisted, "alexander", uncounted_alexander)
     with pytest.raises(PreconditionError):
         INVALID_INPUTS[case]()
     assert calls == []
 
 
 def test_a_failing_delta_k_is_refused_before_the_meridian_search(monkeypatch):
-    # Delta(8_5)(2) = 3: at p = 101 the refusal reads Delta alone, so the
-    # only image table built is the trivial rep's, none from the kmeta
-    # images (a search would walk about p^2 of them)
-    table = representations._image_table
-
-    def trivial_table_only(images):
-        assert images[0].rows == 1, "an image table of the kmeta images"
-        return table(images)
-
-    monkeypatch.setattr(representations, "_image_table", trivial_table_only)
+    # Delta(8_5)(2) = 3: at p = 101 the meridian solve refuses with the
+    # Delta(k) message, and the table its unit walks grew is not
+    # registered
+    monkeypatch.setattr(representations, "_TABLES", {})
     with pytest.raises(PreconditionError, match=r"^Delta\(2\) != 0 mod 101"):
         kmeta_total(presentation_8_5(), 101, 2)
+    assert representations._TABLES == {}
 
 
 def test_perm_dihedral_cross_identity():
