@@ -18,9 +18,11 @@ determinant entry point, with three routes and one reduction:
   TALEX_MAX_DEGREE before either route runs;
 * for integer Laurent matrices from 8x8 on with at least two nonzero
   entries per unit of the degree bound D, a modular route: shift each
-  row to a polynomial, evaluate at x = 0..D modulo one m above twice a
-  Hadamard coefficient bound, eliminate mod m, Newton-interpolate and
-  lift symmetrically, which is exact, not probabilistic;
+  row to a polynomial, evaluate at x = 0..D modulo one pseudo-Mersenne
+  m = 2^k - c above twice a Hadamard coefficient bound, eliminate mod m
+  with each row packed into one integer (one multiply-add per row
+  update, the pivot row reduced by folding 2^k = c), Newton-interpolate
+  and lift symmetrically, which is exact, not probabilistic;
 * fraction-free Bareiss elimination (with row pivoting; every interior
   division is exact by construction) otherwise, which keeps all
   arithmetic in the ring and is the test oracle for the modular route.
@@ -293,14 +295,17 @@ class RingMatrix:
             )
         # the modular route pays one elimination per evaluation point,
         # D + 1 of them, so it is taken from two nonzero entries per unit
-        # of D on.  A sweep (min of 3 runs) finds the rule right on some
-        # matrices and about 2x off on others: it rightly sends the 11x11
-        # kmeta_total numerators of 1/95 at p = 11 (D = 1034, 77 nonzeros)
-        # to Bareiss, 0.29-0.39 s against 0.86-1.02 s modular, but it also
-        # sends there the kmeta_total numerators of 7/45 at p = 11 and 13
-        # (D 88-104, 115-163 nonzeros; 42-81 ms against 19-36 ms) and the
-        # 8x8 cyclic products over t^8 - 1 (D 28-44, 32 nonzeros; 3.8-6.0
-        # ms against 2.2-4.2 ms)
+        # of D on.  A sweep (both routes interleaved, min of 3-9 runs)
+        # finds the rule right on some matrices and 1.5-3x off on others:
+        # it rightly sends the 11x11 kmeta_total numerators of 1/95 at
+        # p = 11 (D = 1034, 77 nonzeros) to Bareiss, 0.24-0.26 s against
+        # 0.74-0.78 s modular, where evaluating at 1035 points dominates,
+        # but it also sends there the kmeta_total numerators of 7/45 at
+        # p = 11 and 13 (D 88-104, 115-163 nonzeros; 49-78 ms against
+        # 17-25 ms), the 8x8 cyclic products over t^8 - 1 (D 28-44, 32
+        # nonzeros; 3.4-4.7 ms against 2.1-3.4 ms) and the 11x11 and 13x13
+        # kmeta_total denominators (D 11-13, 21-25 nonzeros; 1.3-2.3 ms
+        # against 0.4-0.8 ms)
         if n >= 8 and nonzero >= 2 * degree:
             det = _modular_det(e, lows, degree)
         else:
@@ -518,44 +523,84 @@ def _is_strong_probable_prime(n):
     return False
 
 
-def _eliminated_det(rows, m):
-    """det of a square matrix of residues mod m by Gaussian elimination.
+def _slot_plan(m, n):
+    """(k, c, folds, width) for eliminating n packed rows of residues mod m.
 
+    m = 2**k - c with 0 <= c < 2**(k-1), so 2**k = c (mod m) and a fold
+    h * 2**k + l -> l + c * h keeps a value's residue.  A slot v <= V
+    folds to at most 2**k - 1 + c * (V >> k) < 2**k + V/2, which is
+    below 3V/4 while V >= 2**(k+2): ``folds`` folds, counted here from
+    the largest slot, bring every slot of a pivot row below 2**(k+2)
+    for any m >= 2.  A slot starts as a residue below m and takes at
+    most n - 1 updates f * y with f < m and y < 2**(k+2); ``width``, a
+    multiple of 8, holds that bound with one bit to spare, so neither an
+    update nor a fold carries into the next slot."""
+    k = (m - 1).bit_length()
+    c = (1 << k) - m
+    top = 1 << (k + 2)
+    slot = (m - 1) * (1 + (n - 1) * (top - 1))
+    width = (slot.bit_length() + 8) // 8 * 8
+    folds = 0
+    while slot >= top:
+        slot = (1 << k) - 1 + c * (slot >> k)
+        folds += 1
+    return k, c, folds, width
+
+
+def _eliminated_det(rows, m, width):
+    """det mod m of a square matrix of residues, each row packed into one
+    integer with column j in bits j*width .. (j+1)*width - 1.
+
+    ``width`` is at least the width of ``_slot_plan(m, len(rows))``.
     Every pivot is inverted with pow(x, -1, m), which raises ValueError
-    for a non-unit, so the result is exact over Z/m for any m.  Rows
-    shrink by their pivot column as the elimination proceeds, and the
-    updates are reduced mod m only when a row becomes the pivot row."""
-    det = 1
+    for a non-unit, so the result is exact over Z/m for any m.  A row
+    drops its pivot slot as the elimination proceeds, and each update is
+    one multiply-add, (row >> width) + f * tail with f = slot_0 *
+    (-pivot)**-1 mod m.  Only the pivot row is reduced: its slots are
+    folded all at once by masks (see ``_slot_plan``)."""
     n = len(rows)
-    for k in range(n):
-        for i in range(k, n):
-            pivot = rows[i][0] % m
+    k, c, folds, _ = _slot_plan(m, n)
+    slot = (1 << width) - 1
+    ones = ((1 << (n * width)) - 1) // slot
+    low = ones * ((1 << k) - 1)
+    high = ones * (slot >> k)
+    det = 1
+    for j in range(n):
+        for i in range(j, n):
+            pivot = (rows[i] & slot) % m
             if pivot:
                 break
         else:
             return 0
-        if i != k:
-            rows[i], rows[k] = rows[k], rows[i]
+        if i != j:
+            rows[i], rows[j] = rows[j], rows[i]
             det = -det
         det = det * pivot % m
         scale = pow(-pivot, -1, m)
-        tail = [y * scale % m for y in rows[k][1:]]
-        for i in range(k + 1, n):
+        tail = rows[j] >> width
+        for _ in range(folds):
+            tail = (tail & low) + c * ((tail >> k) & high)
+        for i in range(j + 1, n):
             row = rows[i]
-            f = row[0] % m
-            rows[i] = [x + f * y for x, y in zip(row[1:], tail)] if f else row[1:]
+            f = (row & slot) * scale % m
+            rows[i] = (row >> width) + f * tail if f else row >> width
     return det % m
 
 
 def _modular_det_coeffs(entries, lows, degree, m):
     """The coefficients of det(t**-lo_i * row_i), lifted into (-m/2, m/2).
 
-    Evaluates the shifted entries at x = 0..degree mod m, takes each
-    determinant by elimination, Newton-interpolates and lifts
-    symmetrically.  Exact when ``degree`` bounds the degree and m
-    exceeds twice every coefficient; raises ValueError when a pivot or
-    an interpolation denominator is not a unit mod m."""
+    Evaluates each distinct shifted entry at x = 0..degree mod m and
+    keeps each value as a fixed-width little-endian byte string; at each
+    point, joins every row into one integer (``_eliminated_det``'s
+    packing) and takes the determinant, one point's rows at a time.
+    Then Newton-interpolates and lifts symmetrically.  Exact when
+    ``degree`` bounds the degree and m exceeds twice every coefficient;
+    raises ValueError when a pivot or an interpolation denominator is
+    not a unit mod m."""
     points = range(degree + 1)
+    width = _slot_plan(m, len(entries))[3]
+    size = width // 8
     values = {}
     grid = []
     for row, lo in zip(entries, lows):
@@ -570,11 +615,23 @@ def _modular_det_coeffs(entries, lows, degree, m):
                     acc = 0
                     for c in reversed(coeffs):
                         acc = (acc * x + c) % m
-                    v.append(acc * pow(x, offset, m) % m if offset else acc)
+                    if offset:
+                        acc = acc * pow(x, offset, m) % m
+                    v.append(acc.to_bytes(size, "little"))
                 values[key] = v
             cells.append(v)
         grid.append(cells)
-    c = [_eliminated_det([[v[x] for v in cells] for cells in grid], m) for x in points]
+    c = [
+        _eliminated_det(
+            [
+                int.from_bytes(b"".join([v[x] for v in cells]), "little")
+                for cells in grid
+            ],
+            m,
+            width,
+        )
+        for x in points
+    ]
     # divided differences over the points 0..degree divide only by 1..degree
     for j in range(1, degree + 1):
         inv = pow(j, -1, m)
@@ -592,18 +649,26 @@ def _modular_det_coeffs(entries, lows, degree, m):
 
 
 def _modular_det(entries, lows, degree):
-    """det over Z[t^+-1] modulo one modulus m > max(2B, D): the first
-    base-2 strong probable prime there, or the next one after a non-unit."""
-    m = max(2 * _coefficient_bound(entries), degree) + 1
+    """det over Z[t^+-1] modulo one modulus m > max(2B, D) of the form
+    2**k - c: the first base-2 strong probable prime in the order k =
+    bits(max(2B, D)), k + 1, ... and c = 3, 5, 7, ... while m stays above
+    max(2B, D), or the next one after a non-unit.  Primes are dense
+    enough that c is small, and two folds reduce a pivot row once 2**k
+    exceeds 4 * n * c**2 for n rows (see ``_slot_plan``).  c = 1 is left
+    out: 2**k - 1 passes the base-2 test for every prime k, and
+    2**113 - 1, say, has the factor 3391."""
+    floor = max(2 * _coefficient_bound(entries), degree)
+    k = floor.bit_length()
     while True:
-        while not _is_strong_probable_prime(m):
-            m += 1
-        try:
-            coeffs = _modular_det_coeffs(entries, lows, degree, m)
-        except ValueError:
-            m += 1
-            continue
-        return LaurentPoly(ZZ, sum(lows), coeffs)
+        for m in range((1 << k) - 3, floor, -2):
+            if not _is_strong_probable_prime(m):
+                continue
+            try:
+                coeffs = _modular_det_coeffs(entries, lows, degree, m)
+            except ValueError:
+                continue
+            return LaurentPoly(ZZ, sum(lows), coeffs)
+        k += 1
 
 
 def companion_matrix(p):

@@ -6,7 +6,10 @@ import random
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import mr
 
+import elim_oracle
+import kron_oracle
 import quot_oracle
 from conftest import P, prod, random_poly
 from talex import matrices
@@ -17,9 +20,11 @@ from talex.matrices import (
     RingMatrix,
     ZZ_POLY,
     _coefficient_bound,
+    _eliminated_det,
     _modular_det,
     _modular_det_coeffs,
     _row_shape,
+    _slot_plan,
     _t_grading,
     companion_matrix,
     cyclic_product,
@@ -296,6 +301,174 @@ def test_modular_det_composite_modulus_is_never_wrong():
         lows, degree, _ = _row_shape(M.entries)
         coeffs = _modular_det_coeffs(M.entries, lows, degree, (2**31 - 1) * r)
         assert LaurentPoly(ZZ, sum(lows), coeffs) == M._bareiss()
+
+
+# the moduli the packed kernel is checked at: pseudo-Mersenne primes
+# 2^k - c with small c, m = 2^(k-1) + 1 (c = 2^(k-1) - 1, the slowest
+# fold), 2^k - 1 and the composite moduli of the test above
+R61 = (1 << 61) - 1
+KERNEL_MODULI = [
+    3,
+    101,
+    R61,
+    (1 << 127) - 1,
+    (1 << 89) - 1,
+    (1 << 64) - 59,
+    (1 << 7) + 1,
+    (1 << 63) + 1,
+    (1 << 127) + 1,
+    (1 << 20) - 1,
+    1009 * R61,
+    2 * R61,
+    R61**2,
+    (2**31 - 1) * R61,
+    3 * 5 * 7 * R61,
+]
+
+
+def packed_det(rows, m):
+    """``_eliminated_det`` on rows of residues, packed at the plan's width."""
+    width = _slot_plan(m, len(rows))[3]
+    return _eliminated_det([kron_oracle.pack(row, width) for row in rows], m, width)
+
+
+def same_det(rows, m):
+    """The packed kernel and the oracle agree, ValueError included."""
+    try:
+        want = elim_oracle.eliminated_det(rows, m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            packed_det(rows, m)
+        return None
+    assert packed_det(rows, m) == want
+    return want
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 30, 40])
+def test_packed_elimination_matches_the_oracle(n):
+    rng = random.Random(n)
+    for m in KERNEL_MODULI:
+        # a composite m may meet a non-unit pivot before a zero column
+        zero = {0} if sympy.isprime(m) else {0, None}
+        top = m - 1
+        same_det([[rng.randrange(m) for _ in range(n)] for _ in range(n)], m)
+        # every slot at its largest residue: the most slot growth, and
+        # with m - 2 on the diagonal the elimination runs to the end
+        assert same_det([[top] * n for _ in range(n)], m) == (top if n == 1 else 0)
+        rows = [[top - (i == j) for j in range(n)] for i in range(n)]
+        same_det(rows, m)
+        # a zero first column in the top rows forces swaps; a zero column
+        # or a repeated row gives 0
+        rows = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+        for i in range(n // 2):
+            rows[i][0] = 0
+        same_det(rows, m)
+        if n > 1:
+            column = rng.randrange(n)
+            zero_column = [row[:column] + [0] + row[column + 1 :] for row in rows]
+            assert same_det(zero_column, m) in zero
+            rows[-1] = list(rows[0])
+            assert same_det(rows, m) in zero
+    # prime moduli give the nonzero determinants that these matrices have
+    assert same_det([[100 - (i == j) for j in range(n)] for i in range(n)], 101) != 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 30])
+def test_packed_elimination_raises_on_a_non_unit_pivot(n):
+    rng = random.Random(100 + n)
+    m = 1009 * R61
+    rows = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = 1009  # the first pivot, nonzero and not a unit mod m
+    for i in range(1, n):
+        rows[i][0] = 0
+    with pytest.raises(ValueError):
+        elim_oracle.eliminated_det(rows, m)
+    with pytest.raises(ValueError):
+        packed_det(rows, m)
+    # a non-unit that appears only after the first step: row 1 becomes
+    # (0, 15, ...) mod 15 * R61 once row 0 is eliminated
+    if n >= 2:
+        m = 15 * R61
+        rows = [[1] * n, [1, 16] + [rng.randrange(m) for _ in range(n - 2)]]
+        rows += [[rng.randrange(m) for _ in range(n)] for _ in range(n - 2)]
+        with pytest.raises(ValueError):
+            elim_oracle.eliminated_det(rows, m)
+        with pytest.raises(ValueError):
+            packed_det(rows, m)
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI + [2, 4, 1 << 64])
+def test_slot_plan_folds_every_slot_below_its_top(m):
+    # the fold count is fixed before the elimination and finite for
+    # every m >= 2, and that many folds bring every slot of a row below
+    # 2^(k+2) without a carry between slots
+    rng = random.Random(m)
+    for n in (2, 8, 40):
+        k, c, folds, width = _slot_plan(m, n)
+        assert m == (1 << k) - c and 0 <= c < 1 << max(k - 1, 0)
+        assert width % 8 == 0
+        top = 1 << (k + 2)
+        largest = (m - 1) * (1 + (n - 1) * (top - 1))
+        assert largest < 1 << (width - 1)
+        if 0 < c < 1 << 10 and k > 40:
+            assert folds == 2
+        slots = [largest] * 2 + [rng.randrange(largest + 1) for _ in range(n - 2)]
+        mask = (1 << width) - 1
+        ones = kron_oracle.pack([1] * n, width)
+        value = kron_oracle.pack(slots, width)
+        for _ in range(folds):
+            value = (value & ones * ((1 << k) - 1)) + c * ((value >> k) & ones * (mask >> k))
+        folded = [(value >> (j * width)) & mask for j in range(n)]
+        assert value >> (n * width) == 0
+        assert all(s < top for s in folded)
+        assert [s % m for s in folded] == [s % m for s in slots]
+    k = (m - 1).bit_length()
+    if m == (1 << (k - 1)) + 1 and k > 8:
+        # c = 2^(k-1) - 1 takes off about one bit a fold
+        assert folds > k
+
+
+def test_modular_det_takes_the_first_pseudo_mersenne_prime(monkeypatch):
+    rng = random.Random(22)
+    M = poly_matrix(rng, 9, max_deg=2, max_coef=5)
+    lows, degree, _ = _row_shape(M.entries)
+    want = M._bareiss()
+    real = matrices._modular_det_coeffs
+
+    def primes_above(floor):
+        """2^k - c for c >= 2 in the search order of ``_modular_det``,
+        base-2 strong probable primes only."""
+        k = floor.bit_length()
+        while True:
+            for c in range(2, (1 << k) - floor):
+                if mr((1 << k) - c, [2]):
+                    yield (1 << k) - c
+            k += 1
+
+    def forged(*args):
+        # a non-unit at the first modulus moves the search to the next
+        tried.append(args[3])
+        if len(tried) == 1:
+            raise ValueError("forged non-unit")
+        return real(*args)
+
+    monkeypatch.setattr(matrices, "_modular_det_coeffs", forged)
+    floor = max(2 * _coefficient_bound(M.entries), degree)
+    tried = []
+    assert _modular_det(M.entries, lows, degree) == want
+    search = primes_above(floor)
+    assert tried == [next(search), next(search)]
+    assert tried[0].bit_length() == floor.bit_length()
+    # 2^101 - 1 is composite and a base-2 strong probable prime, so the
+    # search never takes c = 1; above a floor of 2^101 - 2 it moves on to
+    # k = 102
+    assert mr((1 << 101) - 1, [2]) and not sympy.isprime((1 << 101) - 1)
+    monkeypatch.setattr(matrices, "_coefficient_bound", lambda entries: (1 << 100) - 1)
+    tried = []
+    assert _modular_det(M.entries, lows, degree) == want
+    search = primes_above((1 << 101) - 2)
+    assert tried == [next(search), next(search)]
+    assert tried[0].bit_length() == 102
 
 
 def test_modular_det_degree_guard(monkeypatch):
